@@ -677,15 +677,12 @@ impl CityIngest {
     /// Current pipeline counters.
     pub fn status(&self) -> IngestStatus {
         let inner = self.inner.lock().unwrap();
-        let store_n = self.slot.get().store().n_pois();
-        let sealed = self
-            .slot
-            .get()
-            .store()
-            .ann
-            .as_ref()
-            .map(|a| a.len())
-            .unwrap_or(store_n);
+        // One load: a `reload` swaps the slot without the ingest lock, so
+        // two loads could pair one engine's size with another's index.
+        let engine = self.slot.get();
+        let store = engine.store();
+        let store_n = store.n_pois();
+        let sealed = store.ann.as_ref().map(|a| a.len()).unwrap_or(store_n);
         IngestStatus {
             staged: inner.staged.len(),
             applied: inner.applied,

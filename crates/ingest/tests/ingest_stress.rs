@@ -14,8 +14,8 @@ use prim_ingest::{CityIngest, IngestOpts};
 use prim_obs::json::{self, Value};
 use prim_obs::{Counter, Recorder};
 use prim_serve::{
-    load_checkpoint, save_checkpoint, ChaosClient, EmbeddingStore, EngineOpts, EngineSlot,
-    ServeCtx, ServeEngine, TcpServer, TenantSpec,
+    handle_line, load_checkpoint, save_checkpoint, ChaosClient, EmbeddingStore, EngineOpts,
+    EngineSlot, ServeCtx, ServeEngine, TcpServer, TenantSpec,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,7 +55,11 @@ struct CityFixture {
 }
 
 fn city(name: &str, seed: u64) -> CityFixture {
-    let ds = Dataset::beijing(Scale::Quick).subsample(0.1, seed);
+    city_sized(name, seed, 0.1)
+}
+
+fn city_sized(name: &str, seed: u64, frac: f64) -> CityFixture {
+    let ds = Dataset::beijing(Scale::Quick).subsample(frac, seed);
     let cfg = PrimConfig {
         dim: 8,
         cat_dim: 4,
@@ -430,4 +434,68 @@ fn ingest_and_serve_survive_concurrent_hammering() {
     );
     assert!(!is_ok(&deny), "ingest-less tenant rejects mutations");
     assert_eq!(sh.counter(Counter::IngestStaged), 0);
+}
+
+/// `ingest_status` reads the slot once: a `reload` that swaps the slot
+/// (without the ingest lock) between two loads would pair one engine's
+/// store size with the other's index size, and `store_n - sealed` would
+/// wrap (a panic under debug assertions).
+#[test]
+fn ingest_status_is_consistent_across_reloads() {
+    let small = city_sized("reload-small", 3, 0.05);
+    let large = city_sized("reload-large", 3, 0.2);
+    assert_ne!(small.n_pois, large.n_pois);
+
+    let slot = EngineSlot::new(Arc::clone(&small.engine));
+    let wal = tmp("reload-status.wal");
+    let _ = std::fs::remove_dir_all(&wal);
+    let ingest = CityIngest::open(
+        load_checkpoint(&small.ckpt).unwrap(),
+        &wal,
+        Arc::new(prim_serve::RealIo),
+        Arc::clone(&slot),
+        EngineOpts::default(),
+        IngestOpts::default(),
+    )
+    .unwrap();
+    let ctx = ServeCtx::multi(vec![TenantSpec::new("beijing", Arc::clone(&small.engine))
+        .with_slot(slot)
+        .with_ingest(Arc::clone(&ingest) as _)]);
+
+    let reload = |c: &CityFixture| {
+        json::obj(&[
+            ("op", json::str("reload")),
+            ("city", json::str("beijing")),
+            ("path", json::str(c.ckpt.to_str().unwrap())),
+        ])
+    };
+    let (to_large, to_small) = (reload(&large), reload(&small));
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let polls = std::thread::scope(|s| {
+        let poller = s.spawn(|| {
+            let mut polls = 0u64;
+            while !done.load(Ordering::Acquire) {
+                // Mostly direct calls, which keep the window between
+                // loads busy; every 64th poll goes through the protocol.
+                if polls.is_multiple_of(64) {
+                    let h = handle_line(&ctx, r#"{"op": "ingest_status", "city": "beijing"}"#);
+                    assert!(is_ok(&parse(&h.response)), "{}", h.response);
+                } else {
+                    let st = ingest.status();
+                    assert!(st.delta_rows <= large.n_pois as usize, "{st:?}");
+                }
+                polls += 1;
+            }
+            polls
+        });
+        for _ in 0..100 {
+            for req in [&to_large, &to_small] {
+                let h = handle_line(&ctx, req);
+                assert!(is_ok(&parse(&h.response)), "{}", h.response);
+            }
+        }
+        done.store(true, Ordering::Release);
+        poller.join().unwrap()
+    });
+    assert!(polls > 0);
 }

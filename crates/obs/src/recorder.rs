@@ -84,7 +84,7 @@ pub enum Counter {
     ServeRequests,
     /// POI pairs scored while serving (batch requests count every pair).
     ServePairs,
-    /// Micro-batches flushed through the batched scoring kernel.
+    /// Calls into the batched scoring kernel (`batch` requests).
     ServeBatches,
     /// Score-cache hits.
     ServeCacheHits,

@@ -14,8 +14,7 @@
 //!    tape.
 //! 3. **Query** — [`engine::ServeEngine`] answers point scores, batched
 //!    scores and spatial top-k over the frozen tables, with a sharded LRU
-//!    score cache, optional micro-batching ([`engine::Batcher`]) and
-//!    `prim-obs` telemetry.
+//!    score cache and `prim-obs` telemetry.
 //! 4. **Speak** — [`proto`] defines a JSON-lines request/response
 //!    protocol; [`server`] runs it over stdin/stdout or a TCP listener.
 //!

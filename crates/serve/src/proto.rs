@@ -25,13 +25,13 @@
 //!
 //! A [`ServeCtx`] hosts one or more named [`Tenant`]s, each a complete
 //! serving stack: its own [`EngineSlot`] (so hot `reload` stays per-city
-//! and atomic), score cache, optional micro-batcher and `prim-obs`
-//! recorder. Requests carrying `"city"` route to that tenant; a name this
-//! process does not host earns a structured `unknown_tenant` error. On a
-//! single-tenant context a request without `"city"` behaves exactly as the
-//! pre-tenancy protocol did — byte-for-byte, including `health` — and
-//! responses echo `"city"` only when the request named one. A
-//! multi-tenant `health` without `"city"` aggregates every tenant.
+//! and atomic), score cache and `prim-obs` recorder. Requests carrying
+//! `"city"` route to that tenant; a name this process does not host earns
+//! a structured `unknown_tenant` error. On a single-tenant context a
+//! request without `"city"` behaves exactly as the pre-tenancy protocol
+//! did — byte-for-byte, including `health` — and responses echo `"city"`
+//! only when the request named one. A multi-tenant `health` without
+//! `"city"` aggregates every tenant.
 //!
 //! ## Resilience semantics
 //!
@@ -45,7 +45,7 @@
 //!   slow readers saturate the gate instead of ballooning memory.
 //! * **Deadlines** — `deadline` gives each request a time budget from the
 //!   moment its line is read. Expired budgets return `deadline_exceeded`
-//!   instead of hanging; batched `score` ops use a deadline-bounded wait.
+//!   instead of hanging.
 //! * **Degradation** — when a `top_k` request's remaining budget drops
 //!   under `degrade_margin`, the engine skips the scoring pass and answers
 //!   from the spatial grid alone, flagged `"degraded": true` — a cheap,
@@ -205,13 +205,11 @@ pub trait IngestBackend: Send + Sync {
 }
 
 /// One named city engine inside a serving process: hot-reloadable slot,
-/// optional micro-batcher, optional ingest backend, and the checkpoint
-/// path `reload` last applied (engines carry their own score cache and
-/// recorder).
+/// optional ingest backend, and the checkpoint path `reload` last applied
+/// (engines carry their own score cache and recorder).
 pub struct Tenant {
     name: String,
     slot: Arc<EngineSlot>,
-    batcher: Option<Arc<Batcher>>,
     ingest: Option<Arc<dyn IngestBackend>>,
     ckpt_path: Mutex<Option<String>>,
 }
@@ -220,14 +218,12 @@ impl Tenant {
     fn new(
         name: impl Into<String>,
         slot: Arc<EngineSlot>,
-        batcher: Option<Arc<Batcher>>,
         ingest: Option<Arc<dyn IngestBackend>>,
         ckpt_path: Option<String>,
     ) -> Self {
         Tenant {
             name: name.into(),
             slot,
-            batcher,
             ingest,
             ckpt_path: Mutex::new(ckpt_path),
         }
@@ -267,15 +263,11 @@ pub struct TenantSpec {
     /// The engine serving this city.
     pub engine: Arc<ServeEngine>,
     /// Optional pre-existing hot-reload slot to serve from. Pass this
-    /// when another component (a [`Batcher`], an ingest pipeline)
-    /// publishes engines into a slot it already owns — the tenant must
-    /// resolve through *that* slot, not a private one. When set,
-    /// `engine` is ignored (the slot is authoritative).
+    /// when another component (an ingest pipeline) publishes engines into
+    /// a slot it already owns — the tenant must resolve through *that*
+    /// slot, not a private one. When set, `engine` is ignored (the slot
+    /// is authoritative).
     pub slot: Option<Arc<EngineSlot>>,
-    /// Optional micro-batcher for this city's single-pair `score` ops.
-    /// Must share the tenant's slot to survive hot reloads; build it with
-    /// [`Batcher::over_slot`].
-    pub batcher: Option<Arc<Batcher>>,
     /// Optional streaming-mutation backend handling this city's ingest
     /// ops (`add_poi` / `add_edge` / `retire_poi` / …).
     pub ingest: Option<Arc<dyn IngestBackend>>,
@@ -291,7 +283,6 @@ impl TenantSpec {
             city: city.into(),
             engine,
             slot: None,
-            batcher: None,
             ingest: None,
             ckpt_path: None,
         }
@@ -310,12 +301,10 @@ impl TenantSpec {
         self
     }
 
-    /// Routes this tenant's single-pair scores through a micro-batcher.
-    /// The tenant adopts the batcher's [`EngineSlot`], so hot reloads
-    /// retarget direct and batched paths together.
-    pub fn with_batcher(mut self, batcher: Arc<Batcher>) -> Self {
-        self.batcher = Some(batcher);
-        self
+    /// Serves this tenant from the [`Batcher`]'s [`EngineSlot`]; same as
+    /// [`TenantSpec::with_slot`]`(batcher.slot())`.
+    pub fn with_batcher(self, batcher: Arc<Batcher>) -> Self {
+        self.with_slot(batcher.slot())
     }
 
     /// Attaches a streaming-mutation backend; its ops join this tenant's
@@ -327,12 +316,12 @@ impl TenantSpec {
     }
 }
 
-/// The default single-tenant name ([`ServeCtx::direct`]/[`ServeCtx::batched`]).
+/// The default single-tenant name ([`ServeCtx::direct`]).
 pub const DEFAULT_TENANT: &str = "default";
 
 /// Shared serving context handed to every connection: the named tenants
-/// (each a hot-reloadable engine slot plus optional micro-batcher), the
-/// resilience limits and the admission gate.
+/// (each a hot-reloadable engine slot), the resilience limits and the
+/// admission gate.
 #[derive(Clone)]
 pub struct ServeCtx {
     tenants: Arc<Vec<Tenant>>,
@@ -353,26 +342,11 @@ impl ServeCtx {
         }
     }
 
-    /// Context scoring directly against the engine (no micro-batching).
+    /// Single-tenant context scoring against `engine`.
     pub fn direct(engine: Arc<ServeEngine>) -> Self {
         Self::single(Tenant::new(
             DEFAULT_TENANT,
             EngineSlot::new(engine),
-            None,
-            None,
-            None,
-        ))
-    }
-
-    /// Context routing single-pair scores through a micro-batcher. The
-    /// context shares the batcher's [`EngineSlot`], so a hot reload
-    /// retargets direct *and* batched paths together.
-    pub fn batched(engine: Arc<ServeEngine>, batcher: Arc<Batcher>) -> Self {
-        let _ = engine; // the batcher's slot is authoritative
-        Self::single(Tenant::new(
-            DEFAULT_TENANT,
-            batcher.slot(),
-            Some(batcher),
             None,
             None,
         ))
@@ -394,26 +368,8 @@ impl ServeCtx {
                 "duplicate tenant {:?}",
                 spec.city
             );
-            let slot = match (spec.slot, &spec.batcher) {
-                (Some(slot), Some(b)) => {
-                    assert!(
-                        Arc::ptr_eq(&slot, &b.slot()),
-                        "tenant {:?}: explicit slot and batcher slot must be the same",
-                        spec.city
-                    );
-                    slot
-                }
-                (Some(slot), None) => slot,
-                (None, Some(b)) => b.slot(),
-                (None, None) => EngineSlot::new(spec.engine),
-            };
-            tenants.push(Tenant::new(
-                spec.city,
-                slot,
-                spec.batcher,
-                spec.ingest,
-                spec.ckpt_path,
-            ));
+            let slot = spec.slot.unwrap_or_else(|| EngineSlot::new(spec.engine));
+            tenants.push(Tenant::new(spec.city, slot, spec.ingest, spec.ckpt_path));
         }
         ServeCtx {
             tenants: Arc::new(tenants),
@@ -735,20 +691,7 @@ fn handle_admitted(
                     "request deadline passed before scoring",
                 );
             }
-            let scored = match (&tenant.batcher, deadline) {
-                (Some(b), Some(t)) => match b.submit_deadline(src, dst, t) {
-                    Some(s) => s,
-                    None => {
-                        engine.recorder().add(Counter::ServeDeadlines, 1);
-                        return err_code(
-                            "deadline_exceeded",
-                            "batch queue did not flush within the deadline",
-                        );
-                    }
-                },
-                (Some(b), None) => b.submit(src, dst),
-                (None, _) => engine.score(src, dst),
-            };
+            let scored = engine.score(src, dst);
             Handled {
                 response: ok_obj(
                     "score",

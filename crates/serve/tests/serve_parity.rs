@@ -1,14 +1,14 @@
 //! Serving parity: after save → load → rebuild, the engine's scores are
 //! bitwise identical to [`PrimModel::score_pair_eager`] — with the cache
 //! cold and warm, at one and at four kernel threads, through single,
-//! batched and top-k paths, and via the micro-batcher.
+//! batched and top-k paths.
 
 use prim_core::{fit, ModelInputs, PrimConfig, PrimModel};
 use prim_data::{Dataset, Scale};
 use prim_graph::PoiId;
 use prim_obs::Recorder;
 use prim_serve::{
-    load_checkpoint, save_checkpoint, Batcher, EmbeddingStore, EngineOpts, ServeCtx, ServeEngine,
+    load_checkpoint, save_checkpoint, EmbeddingStore, EngineOpts, ServeCtx, ServeEngine,
 };
 use prim_tensor::kernel;
 use rand::rngs::StdRng;
@@ -250,41 +250,6 @@ fn top_k_is_deterministic_and_correctly_ranked() {
                 .model
                 .score_pair_eager(&fx.table, PoiId(src), 0, PoiId(nb.poi), bin);
             assert_eq!(nb.score.to_bits(), want.to_bits());
-        }
-    }
-}
-
-#[test]
-fn micro_batcher_returns_engine_bits() {
-    let fx = fixture(
-        PrimConfig {
-            dim: 12,
-            cat_dim: 6,
-            epochs: 3,
-            val_check_every: 0,
-            ..PrimConfig::quick()
-        },
-        256,
-    );
-    let opts = EngineOpts::default();
-    let batcher = Arc::new(Batcher::new(Arc::clone(&fx.engine), &opts));
-    let pairs = random_pairs(fx.engine.store().n_pois(), 64, 3);
-
-    // Concurrent submitters exercise actual batch formation.
-    let results: Vec<prim_serve::PairScores> = std::thread::scope(|s| {
-        let handles: Vec<_> = pairs
-            .iter()
-            .map(|&(a, b)| {
-                let batcher = Arc::clone(&batcher);
-                s.spawn(move || batcher.submit(a, b))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for r in &results {
-        let direct = fx.engine.score(r.src, r.dst);
-        for (a, b) in r.scores().iter().zip(direct.scores()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "batcher vs direct");
         }
     }
 }

@@ -45,7 +45,7 @@
 use prim::model::{fit, ModelInputs, NoopHook, PrimConfig, PrimModel};
 use prim::prelude::*;
 use prim::serve::{
-    fit_resumable, fit_resumable_hooked, Batcher, ChaosIo, EngineOpts, FaultPlan, ResilienceOpts,
+    fit_resumable, fit_resumable_hooked, ChaosIo, EngineOpts, FaultPlan, ResilienceOpts,
     ResumeError, ServeCtx, TcpServer, TenantSpec,
 };
 use std::io::{BufRead, BufReader, Write};
@@ -401,7 +401,7 @@ fn reload_mode(addr: &str, ckpt: &str) {
 /// Serves one checkpoint (`<ckpt>`) or several named tenants
 /// (`city=ckpt,city=ckpt`). The single-path form keeps the historical
 /// single-tenant behavior; the multi-tenant form routes requests on their
-/// `"city"` field and gives every city its own batcher and telemetry run
+/// `"city"` field and gives every city its own telemetry run
 /// (`prim-serve:<city>`).
 fn serve_tcp_mode(spec: &str, addr: &str, opts: EngineOpts) {
     let engines: Vec<Arc<ServeEngine>>;
@@ -417,22 +417,16 @@ fn serve_tcp_mode(spec: &str, addr: &str, opts: EngineOpts) {
                 }
             };
             let engine = load_engine_as(path, &opts, &format!("prim-serve:{city}"));
-            let batcher = Arc::new(Batcher::new(Arc::clone(&engine), &opts));
             loaded.push(Arc::clone(&engine));
-            tenants.push(
-                TenantSpec::new(city, engine)
-                    .with_batcher(batcher)
-                    .with_ckpt_path(path),
-            );
+            tenants.push(TenantSpec::new(city, engine).with_ckpt_path(path));
         }
         eprintln!("routing {} tenants by \"city\"", tenants.len());
         engines = loaded;
         ServeCtx::multi(tenants).with_engine_opts(opts)
     } else {
         let engine = load_engine(spec, &opts);
-        let batcher = Arc::new(Batcher::new(Arc::clone(&engine), &opts));
         engines = vec![Arc::clone(&engine)];
-        ServeCtx::batched(engine, batcher)
+        ServeCtx::direct(engine)
     };
     let server = TcpServer::bind(addr, ctx).unwrap_or_else(|e| {
         eprintln!("prim_serve: binding {addr}: {e}");
