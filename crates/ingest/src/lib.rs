@@ -243,6 +243,10 @@ struct Inner {
     snapshot_seq: u64,
     /// Path of that snapshot, served to bootstrapping followers.
     snapshot_path: Option<PathBuf>,
+    /// The engine this pipeline last swapped into the slot: the base every
+    /// publish scatters into. A `reload` may replace the slot's engine
+    /// with another city state, so the slot itself is not that base.
+    published: Arc<ServeEngine>,
 }
 
 impl Inner {
@@ -515,6 +519,7 @@ impl CityIngest {
             base_pois,
             snapshot_seq,
             snapshot_path,
+            published: slot.get(),
         };
         let ingest = Arc::new(CityIngest {
             inner: Mutex::new(inner),
@@ -854,8 +859,7 @@ impl CityIngest {
 
         // Phase 4 — scatter into a copy of the published table and swap
         // in a fresh engine. Readers keep the old Arc until they finish.
-        let old_engine = self.slot.get();
-        let old_store = old_engine.store();
+        let old_store = inner.published.store();
         let dim = old_store.dim();
         let old_n = old_store.n_pois();
         let mut data = old_store.pois.data().to_vec();
@@ -897,7 +901,8 @@ impl CityIngest {
             &self.engine_opts,
             self.recorder.clone(),
         ));
-        self.slot.swap(engine);
+        self.slot.swap(Arc::clone(&engine));
+        inner.published = engine;
 
         inner.applied += batch.len() as u64;
         self.recorder

@@ -499,3 +499,90 @@ fn ingest_status_is_consistent_across_reloads() {
     });
     assert!(polls > 0);
 }
+
+/// A flush after `reload` starts from the pipeline's own last publish, not
+/// from whatever store the reload left in the slot: a reload to a larger
+/// city must neither fail the flush nor leak into what the flush
+/// publishes. Every response after the reload matches a control pipeline
+/// over the same checkpoint that never saw it.
+#[test]
+fn flush_after_reload_builds_on_the_pipelines_own_state() {
+    let small = city_sized("flush-small", 3, 0.05);
+    let large = city_sized("flush-large", 3, 0.2);
+    assert!(large.n_pois > small.n_pois + 1);
+
+    let tenant = |name: &str| {
+        let slot = EngineSlot::new(Arc::clone(&small.engine));
+        let wal = tmp(name);
+        let _ = std::fs::remove_dir_all(&wal);
+        let ingest = CityIngest::open(
+            load_checkpoint(&small.ckpt).unwrap(),
+            &wal,
+            Arc::new(prim_serve::RealIo),
+            Arc::clone(&slot),
+            EngineOpts::default(),
+            IngestOpts::default(),
+        )
+        .unwrap();
+        ServeCtx::multi(vec![TenantSpec::new("beijing", Arc::clone(&small.engine))
+            .with_slot(slot)
+            .with_ingest(ingest as _)])
+    };
+    let (reloaded, control) = (tenant("flush-reloaded.wal"), tenant("flush-control.wal"));
+
+    let reload = json::obj(&[
+        ("op", json::str("reload")),
+        ("city", json::str("beijing")),
+        ("path", json::str(large.ckpt.to_str().unwrap())),
+    ]);
+    let h = handle_line(&reloaded, &reload);
+    assert!(is_ok(&parse(&h.response)), "{}", h.response);
+
+    let attrs: Vec<String> = (0..small.attr_dim)
+        .map(|c| format!("{}", c as f64 * 0.1))
+        .collect();
+    let new = small.n_pois;
+    let script = [
+        format!(
+            "{{\"op\": \"add_poi\", \"city\": \"beijing\", \"lon\": {}, \"lat\": {}, \
+             \"category\": {}, \"attrs\": [{}]}}",
+            small.anchor.0 + 1e-3,
+            small.anchor.1 + 1e-3,
+            small.category,
+            attrs.join(", ")
+        ),
+        r#"{"op": "ingest_flush", "city": "beijing"}"#.to_string(),
+        r#"{"op": "ingest_status", "city": "beijing"}"#.to_string(),
+        format!(
+            "{{\"op\": \"add_edge\", \"city\": \"beijing\", \"src\": {new}, \"dst\": 0, \
+             \"relation\": 0}}"
+        ),
+        r#"{"op": "ingest_flush", "city": "beijing"}"#.to_string(),
+        format!("{{\"op\": \"score\", \"city\": \"beijing\", \"src\": {new}, \"dst\": 1}}"),
+        format!("{{\"op\": \"score\", \"city\": \"beijing\", \"src\": 2, \"dst\": {new}}}"),
+        format!(
+            "{{\"op\": \"top_k\", \"city\": \"beijing\", \"src\": {new}, \"k\": 5, \
+             \"relation\": \"competitive\", \"radius_km\": 5.0}}"
+        ),
+        r#"{"op": "top_k", "city": "beijing", "src": 0, "k": 5, "relation": "competitive", "radius_km": 50.0}"#
+            .to_string(),
+    ];
+    for req in &script {
+        let got = handle_line(&reloaded, req).response;
+        let want = handle_line(&control, req).response;
+        let v = parse(&got);
+        assert!(is_ok(&v), "{req} -> {got}");
+        if req.contains("ingest_status") {
+            // `reloads` differs by design; the city state must not.
+            for key in ["n_pois", "applied", "staged", "next_seq", "delta_rows"] {
+                assert_eq!(v.get(key), parse(&want).get(key), "{key}: {got} vs {want}");
+            }
+            assert_eq!(
+                v.get("n_pois").and_then(Value::as_f64),
+                Some(new as f64 + 1.0)
+            );
+        } else {
+            assert_eq!(got, want, "{req}");
+        }
+    }
+}

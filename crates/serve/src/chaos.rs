@@ -22,7 +22,6 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// One injected failure mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -343,18 +342,6 @@ impl ChaosClient {
         self.stream.flush()
     }
 
-    /// Sends a full request line one byte at a time with `delay` between
-    /// bytes — injected latency on the read path.
-    pub fn send_slowly(&mut self, line: &str, delay: Duration) -> std::io::Result<()> {
-        for b in line.as_bytes() {
-            self.stream.write_all(std::slice::from_ref(b))?;
-            self.stream.flush()?;
-            std::thread::sleep(delay);
-        }
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()
-    }
-
     /// Sends a request and reads one response line.
     pub fn request(&mut self, line: &str) -> std::io::Result<String> {
         self.stream.write_all(line.as_bytes())?;
@@ -394,20 +381,6 @@ impl ChaosClient {
         }
         let _ = self.stream.flush();
         sent
-    }
-
-    /// Classic slow loris: starts a request line and keeps the connection
-    /// open by trickling one byte every `drip` without ever finishing the
-    /// line, until `total` bytes were sent or the server hangs up.
-    pub fn slow_loris(&mut self, drip: Duration, total: usize) -> std::io::Result<()> {
-        self.stream.write_all(b"{\"op\": \"")?;
-        self.stream.flush()?;
-        for _ in 0..total {
-            std::thread::sleep(drip);
-            self.stream.write_all(b"x")?;
-            self.stream.flush()?;
-        }
-        Ok(())
     }
 
     /// Drops the connection without reading pending responses. Closing a

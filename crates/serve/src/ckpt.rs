@@ -32,7 +32,7 @@
 //! `as f32`, which is exact for values that originated as f32 — the
 //! round-trip is bitwise.
 
-use crate::ann::{hnsw::Layer, AnnGraph, AnnParams, Hnsw, QuantTier};
+use crate::ann::{hnsw::Layer, AnnGraph, AnnParams, Hnsw};
 use crate::chaos::atomic_write;
 use prim_core::config::{GammaOp, PrimConfig, TaxonomyMode};
 use prim_core::{ModelInputs, PrimModel, ResumeState};
@@ -629,10 +629,9 @@ fn push_ann_graph(w: &mut Writer, graph: &AnnGraph) {
             p.ef_search as f64,
             seed_hi,
             seed_lo,
-            match p.tier {
-                QuantTier::Int8 => 0.0,
-                QuantTier::F16 => 1.0,
-            },
+            // Retired quant-tier code, always 0 (int8 is the only tier);
+            // the slot stays so the `ann.meta` layout keeps its 8 slots.
+            0.0,
             h.entry as f64,
             h.layers.len() as f64,
         ],
@@ -669,20 +668,18 @@ fn decode_ann_graph(raw: &RawCheckpoint) -> Result<Option<AnnGraph>, CkptError> 
             meta.values.len()
         )));
     }
+    // Slot 5 is the retired quant-tier code; 0 (int8) is the only one.
+    if meta.values[5] != 0.0 {
+        return Err(CkptError::Malformed(format!(
+            "unsupported ann quant tier code {} (only 0, int8, is served)",
+            meta.values[5]
+        )));
+    }
     let params = AnnParams {
         m: meta.values[0] as usize,
         ef_construction: meta.values[1] as usize,
         ef_search: meta.values[2] as usize,
         seed: join_u64(meta.values[3], meta.values[4]),
-        tier: match meta.values[5] as i64 {
-            0 => QuantTier::Int8,
-            1 => QuantTier::F16,
-            other => {
-                return Err(CkptError::Malformed(format!(
-                    "unknown ann quant tier code {other}"
-                )));
-            }
-        },
     };
     let entry = meta.values[6] as u32;
     let n_layers = meta.values[7] as usize;

@@ -43,7 +43,7 @@ const REL_BLOCK: usize = 2;
 /// sizing keeps the hit rate flat as stores grow.
 pub const CACHE_AUTO: usize = usize::MAX;
 
-/// ANN dispatch knobs for [`ServeEngine::top_k_related_ann`]. The engine
+/// ANN dispatch knobs for [`ServeEngine::top_k_related_mode`]. The engine
 /// picks one of three regimes per query from the grid's cell-population
 /// estimate: tiny candidate sets go straight to the exact path (the scan
 /// setup would cost more than it saves), mid-size sets take a quantized
@@ -385,7 +385,7 @@ impl ServeEngine {
     /// 1. **exact** — at or below `min_exact` candidates the setup cost of
     ///    anything approximate exceeds the full scan it replaces.
     /// 2. **quantized scan** — enumerate the in-radius candidates
-    ///    (unsorted), score each with one int8/f16 SIMD dot against the
+    ///    (unsorted), score each with one int8 SIMD dot against the
     ///    relation-linearised query, keep the `ef` best.
     /// 3. **HNSW beam** — above `beam_cutoff` *and* with the radius
     ///    covering most of the store, the candidate set is too big to
@@ -425,7 +425,6 @@ impl ServeEngine {
         let ef = base_ef.max(k.saturating_mul(opts.oversample)).max(1);
         let (queries, n_query_rows) = self.ann_query_rows(src, relation);
         let d = self.store.dim();
-        let tier = index.graph.params.tier;
         // Query-row selection bins the *grid's* projected distance — the
         // value the radius filter already computed — rather than re-running
         // the per-pair equirectangular projection `pair_bin` does. The two
@@ -470,7 +469,7 @@ impl ServeEngine {
             );
             let mut scored: Vec<(f32, u32)> = candidates
                 .into_iter()
-                .map(|(j, dist)| (index.quant.dot(tier, j, query_row(dist)), j as u32))
+                .map(|(j, dist)| (index.quant.dot(j, query_row(dist)), j as u32))
                 .collect();
             // Keep the top `ef` under the (score desc, id asc) total order.
             // A partition suffices — the order is total, so the kept *set*
@@ -487,7 +486,7 @@ impl ServeEngine {
             let (mut kept, stats) = index.graph.hnsw.search(
                 |id| {
                     let dist = self.store.grid.distance_km(src as usize, id as usize);
-                    index.quant.dot(tier, id as usize, query_row(dist))
+                    index.quant.dot(id as usize, query_row(dist))
                 },
                 |id| {
                     id != src && self.store.grid.distance_km(src as usize, id as usize) < radius_km
@@ -515,7 +514,7 @@ impl ServeEngine {
                 }
                 let dist = self.store.grid.distance_km(src as usize, id as usize);
                 if dist < radius_km {
-                    kept.push((index.quant.dot(tier, id as usize, query_row(dist)), id));
+                    kept.push((index.quant.dot(id as usize, query_row(dist)), id));
                 }
             }
             if delta_len > 0 {

@@ -35,7 +35,7 @@ pub mod rotate;
 pub mod server;
 pub mod store;
 
-pub use ann::{AnnGraph, AnnIndex, AnnParams, Hnsw, QuantStore, QuantTier, SearchStats};
+pub use ann::{AnnGraph, AnnIndex, AnnParams, Hnsw, QuantStore, SearchStats};
 pub use cache::ScoreCache;
 pub use chaos::{atomic_write, ChaosClient, ChaosIo, Fault, FaultPlan, FileIo, RealIo};
 pub use ckpt::{

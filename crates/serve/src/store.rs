@@ -57,7 +57,7 @@ impl EmbeddingStore {
         store
     }
 
-    /// [`from_model`] without the ANN construction — the exact-only
+    /// [`Self::from_model`] without the ANN construction — the exact-only
     /// store the parity oracle and the fastest-loading paths use.
     pub fn from_model_unindexed(
         model: &PrimModel,
@@ -86,7 +86,7 @@ impl EmbeddingStore {
         }
     }
 
-    /// [`from_model`] reusing a persisted [`AnnGraph`] instead of
+    /// [`Self::from_model`] reusing a persisted [`AnnGraph`] instead of
     /// reconstructing it (the quantized tier is rebuilt from the — bitwise
     /// reproduced — embeddings, which is cheap).
     pub fn from_model_with_graph(

@@ -7,8 +7,8 @@ use prim_core::{fit, ModelInputs, PrimConfig, PrimModel};
 use prim_data::{Dataset, Scale};
 use prim_graph::PoiId;
 use prim_serve::{
-    checksum, load_checkpoint, load_pair_model, load_raw, save_checkpoint, save_pair_model,
-    save_params, CkptError,
+    checksum, load_checkpoint, load_pair_model, load_raw, save_checkpoint, save_checkpoint_indexed,
+    save_pair_model, save_params, CkptError, EmbeddingStore,
 };
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -199,6 +199,58 @@ fn wrong_version_reports_skew() {
             assert_eq!(supported, prim_serve::VERSION);
         }
         other => panic!("expected VersionSkew, got {:?}", other.map(|_| "Ok")),
+    }
+}
+
+/// Slot 5 of `ann.meta` is the retired quant-tier code: int8 (0) is the
+/// only tier, so any other code — on an otherwise consistent, re-sealed
+/// file — is a structured error, not a panic or a silent int8 load.
+#[test]
+fn retired_ann_tier_code_is_rejected() {
+    let (ds, _, inputs, model) = tiny_trained();
+    let store = EmbeddingStore::from_model(&model, &inputs, ds.relation_names.clone());
+    let path = tmp("tier_code.ckpt");
+    save_checkpoint_indexed(
+        &path,
+        "test-run",
+        &model,
+        &ds.graph,
+        &ds.taxonomy,
+        &ds.attrs,
+        &ds.relation_names,
+        &store.ann.as_ref().expect("from_model indexes").graph,
+    )
+    .unwrap();
+    assert!(load_checkpoint(&path).unwrap().ann_graph.is_some());
+
+    let bytes = std::fs::read(&path).unwrap();
+    let name = b"ann.meta";
+    let at = bytes
+        .windows(name.len())
+        .position(|w| w == name)
+        .expect("indexed checkpoint has ann.meta");
+    // name, flags (1), rows (8), cols (8), then one f64 per slot.
+    let slot5 = at + name.len() + 1 + 16 + 5 * 8;
+    assert_eq!(
+        bytes[slot5..slot5 + 8],
+        0.0f64.to_le_bytes(),
+        "int8 is written as 0"
+    );
+    for code in [1.0f64, f64::NAN] {
+        let mut bad = bytes.clone();
+        bad[slot5..slot5 + 8].copy_from_slice(&code.to_le_bytes());
+        let body_len = bad.len() - 8;
+        let sum = checksum(&bad[..body_len]);
+        bad[body_len..].copy_from_slice(&sum.to_le_bytes());
+        let p = tmp("tier_code_bad.ckpt");
+        std::fs::write(&p, &bad).unwrap();
+        match load_checkpoint(&p) {
+            Err(CkptError::Malformed(msg)) => assert!(msg.contains("tier"), "{msg}"),
+            other => panic!(
+                "code {code}: expected Malformed, got {:?}",
+                other.map(|_| "Ok")
+            ),
+        }
     }
 }
 

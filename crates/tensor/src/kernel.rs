@@ -27,12 +27,9 @@
 //! [`crate::pool`]: the helpers here compute a shape-dependent partition
 //! (chunk boundaries never depend on the thread count), then hand the chunk
 //! indices to [`pool::run`], which fans them out over long-lived parked
-//! workers. The previous implementation spawned a fresh
-//! `std::thread::scope` per call; those scoped kernels are retained
-//! verbatim in [`scoped`] as the parity baseline for property tests and the
-//! "fresh spawn" benchmark reference. Spawn-free or not, parallelism is
-//! only worth it for large inputs, so every helper takes (or hard-codes) a
-//! grain size below which it stays on the calling thread.
+//! workers. Even without spawns, parallelism is only worth it for large
+//! inputs, so every helper takes (or hard-codes) a grain size below which
+//! it stays on the calling thread.
 
 use crate::pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -240,121 +237,6 @@ where
     results.into_iter().flatten().collect()
 }
 
-/// The original per-call `std::thread::scope` kernels, retained verbatim as
-/// the parity baseline: property tests assert the pooled helpers above are
-/// bitwise identical to these, and the microbenchmarks use them as the
-/// "fresh spawn" reference the pool is measured against.
-#[doc(hidden)]
-pub mod scoped {
-    use super::{configured_threads, PAR_ELEM_CUTOFF};
-
-    /// Scoped-spawn reference for [`super::par_row_chunks`].
-    pub fn par_row_chunks<F>(out: &mut [f32], cols: usize, grain_rows: usize, f: F)
-    where
-        F: Fn(usize, &mut [f32]) + Sync,
-    {
-        let rows = out.len().checked_div(cols).unwrap_or(0);
-        let chunks = configured_threads().min((rows / grain_rows.max(1)).max(1));
-        if chunks <= 1 {
-            f(0, out);
-            return;
-        }
-        let base = rows / chunks;
-        let rem = rows % chunks;
-        std::thread::scope(|s| {
-            let f = &f;
-            let mut rest = out;
-            let mut row0 = 0usize;
-            for c in 0..chunks {
-                let take_rows = base + usize::from(c < rem);
-                let (head, tail) = std::mem::take(&mut rest).split_at_mut(take_rows * cols);
-                rest = tail;
-                let r0 = row0;
-                row0 += take_rows;
-                s.spawn(move || f(r0, head));
-            }
-        });
-    }
-
-    /// Scoped-spawn reference for [`super::par_apply`].
-    pub fn par_apply<F>(data: &mut [f32], f: F)
-    where
-        F: Fn(&mut f32) + Sync,
-    {
-        let threads = configured_threads();
-        if threads <= 1 || data.len() < PAR_ELEM_CUTOFF {
-            data.iter_mut().for_each(f);
-            return;
-        }
-        let chunk = data.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            let f = &f;
-            for piece in data.chunks_mut(chunk) {
-                s.spawn(move || piece.iter_mut().for_each(f));
-            }
-        });
-    }
-
-    /// Scoped-spawn reference for [`super::par_zip_apply`].
-    pub fn par_zip_apply<F>(dst: &mut [f32], src: &[f32], f: F)
-    where
-        F: Fn(&mut f32, f32) + Sync,
-    {
-        assert_eq!(dst.len(), src.len(), "par_zip_apply length mismatch");
-        let threads = configured_threads();
-        if threads <= 1 || dst.len() < PAR_ELEM_CUTOFF {
-            dst.iter_mut().zip(src).for_each(|(a, &b)| f(a, b));
-            return;
-        }
-        let chunk = dst.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            let f = &f;
-            for (d, sc) in dst.chunks_mut(chunk).zip(src.chunks(chunk)) {
-                s.spawn(move || d.iter_mut().zip(sc).for_each(|(a, &b)| f(a, b)));
-            }
-        });
-    }
-
-    /// Scoped-spawn reference for [`super::par_map_chunks`].
-    pub fn par_map_chunks<T, U, F>(items: &[T], grain: usize, f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &T) -> U + Sync,
-    {
-        let n = items.len();
-        let chunks = configured_threads().min((n / grain.max(1)).max(1));
-        if chunks <= 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let base = n / chunks;
-        let rem = n % chunks;
-        let mut results: Vec<Vec<U>> = Vec::with_capacity(chunks);
-        std::thread::scope(|s| {
-            let f = &f;
-            let mut handles = Vec::with_capacity(chunks);
-            let mut start = 0usize;
-            for c in 0..chunks {
-                let len = base + usize::from(c < rem);
-                let slice = &items[start..start + len];
-                let s0 = start;
-                start += len;
-                handles.push(s.spawn(move || {
-                    slice
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| f(s0 + i, t))
-                        .collect::<Vec<U>>()
-                }));
-            }
-            for h in handles {
-                results.push(h.join().expect("kernel worker panicked"));
-            }
-        });
-        results.into_iter().flatten().collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,14 +320,13 @@ mod tests {
     }
 
     #[test]
-    fn pooled_helpers_match_scoped_references() {
-        // Direct pooled-vs-scoped parity at a size that engages the pool
-        // (the proptest suite covers randomized shapes).
+    fn pooled_helpers_match_serial_loops() {
+        // Every pooled helper, at sizes that engage the pool, against the
+        // plain serial loop it promises to equal (the proptest suite covers
+        // randomized shapes).
         set_threads(4);
         let rows = 513;
         let cols = 7;
-        let mut pooled = vec![0.0f32; rows * cols];
-        let mut fresh = pooled.clone();
         let fill = |r0: usize, chunk: &mut [f32]| {
             for (local, row) in chunk.chunks_mut(cols).enumerate() {
                 for (c, v) in row.iter_mut().enumerate() {
@@ -453,13 +334,33 @@ mod tests {
                 }
             }
         };
+        let mut pooled = vec![0.0f32; rows * cols];
+        let mut serial = pooled.clone();
         par_row_chunks(&mut pooled, cols, 1, fill);
-        scoped::par_row_chunks(&mut fresh, cols, 1, fill);
+        fill(0, &mut serial);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let rows_ok = bits(&pooled) == bits(&serial);
+
+        let n = PAR_ELEM_CUTOFF + 5;
+        let src: Vec<f32> = (0..n).map(|i| (i % 89) as f32 * 0.01 - 0.4).collect();
+        let mut pooled = src.clone();
+        let mut serial = src.clone();
+        par_apply(&mut pooled, |x| *x = x.exp());
+        serial.iter_mut().for_each(|x| *x = x.exp());
+        let apply_ok = bits(&pooled) == bits(&serial);
+
+        par_zip_apply(&mut pooled, &src, |a, b| *a += b * b);
+        serial.iter_mut().zip(&src).for_each(|(a, &b)| *a += b * b);
+        let zip_ok = bits(&pooled) == bits(&serial);
+
+        let pooled = par_map_chunks(&src, 1, |i, &x| x * i as f32);
+        let serial: Vec<f32> = src.iter().enumerate().map(|(i, &x)| x * i as f32).collect();
+        let map_ok = bits(&pooled) == bits(&serial);
         set_threads(0);
-        assert!(pooled
-            .iter()
-            .zip(&fresh)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
+        assert!(rows_ok, "par_row_chunks drifted");
+        assert!(apply_ok, "par_apply drifted");
+        assert!(zip_ok, "par_zip_apply drifted");
+        assert!(map_ok, "par_map_chunks drifted");
     }
 
     #[test]
