@@ -3,16 +3,14 @@
 //!
 //! Measures, over a checkpoint-reloaded engine:
 //! * single-pair latency percentiles (p50/p95/p99) through
-//!   [`ServeEngine::score`] with the cache disabled;
+//!   [`ServeEngine::score`];
 //! * batched throughput vs batch size against the single-pair eager
 //!   serving path (one `ServeEngine::score` per request — what a client
 //!   gets without batching) and, for reference, against the raw
 //!   `score_pair_eager` model loop. The batched kernel hoists the
 //!   per-relation projections, blocks four pairs per pass and amortises
 //!   all per-request overhead, so it must clear ≥ 5× the single-pair
-//!   serving path;
-//! * cache hit rates across request-pool sizes, from the engine's own
-//!   telemetry counters.
+//!   serving path.
 //!
 //! Results land in `BENCH_serve.json` at the repo root.
 
@@ -20,7 +18,7 @@ use prim_bench::json;
 use prim_core::{fit, ModelInputs, PrimConfig, PrimModel};
 use prim_data::{Dataset, Scale};
 use prim_graph::PoiId;
-use prim_obs::{Counter, Recorder};
+use prim_obs::Recorder;
 use prim_serve::{EmbeddingStore, EngineOpts, ServeEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,7 +34,7 @@ fn bench_json_path() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json")
 }
 
-fn build_engine(cache_capacity: usize) -> (PrimModel, ModelInputs, ServeEngine) {
+fn build_engine() -> (PrimModel, ModelInputs, ServeEngine) {
     let ds = Dataset::beijing(Scale::Quick);
     let cfg = PrimConfig {
         epochs: 5,
@@ -69,13 +67,13 @@ fn build_engine(cache_capacity: usize) -> (PrimModel, ModelInputs, ServeEngine) 
     let ckpt = prim_serve::load_checkpoint(&path).unwrap();
     let (loaded, loaded_inputs) = ckpt.rebuild().unwrap();
     let store = EmbeddingStore::from_model(&loaded, &loaded_inputs, ckpt.relation_names.clone());
-    let opts = EngineOpts {
-        cache_capacity,
-        ..EngineOpts::default()
-    };
     // Telemetry on, exactly as the CI smoke job and a monitored deployment
     // run the engine; both measured paths pay for their own counters.
-    let engine = ServeEngine::new(store, &opts, Recorder::enabled("serve-bench"));
+    let engine = ServeEngine::new(
+        store,
+        &EngineOpts::default(),
+        Recorder::enabled("serve-bench"),
+    );
     (model, inputs, engine)
 }
 
@@ -89,9 +87,7 @@ fn random_pairs(n_pois: u32, count: usize, seed: u64) -> Vec<(u32, u32)> {
 fn main() {
     prim_bench::ensure_run_report("serve_latency");
 
-    // Cache OFF for the kernel comparisons: the point is raw scoring
-    // throughput, and the hit-rate sweep below measures caching on its own.
-    let (model, inputs, engine) = build_engine(0);
+    let (model, inputs, engine) = build_engine();
     let n_pois = engine.store().n_pois() as u32;
     let table = model.embed(&inputs);
     let phi = model.phi();
@@ -175,41 +171,6 @@ fn main() {
         "batched serving should clear 5x the single-pair eager path, got {best_ratio:.2}x"
     );
 
-    // -- Cache hit-rate sweep ---------------------------------------------
-    // Zipf-less model: a uniform pool of distinct pairs queried 20K times.
-    // The default CACHE_AUTO capacity sizes the cache to the store
-    // (8 × n_pois, clamped), so a uniform pool up to that size stays hot —
-    // the fixed 1024-entry default this replaces collapsed to a ~10% hit
-    // rate at pool = 10k.
-    let mut cache_sections: Vec<String> = Vec::new();
-    for &pool in &[100usize, 1_000, 10_000] {
-        // Fresh engine per pool (same embeddings, empty cache) with a live
-        // recorder so hit rates come from the serve telemetry counters.
-        let store =
-            EmbeddingStore::from_model(&model, &inputs, engine.store().relation_names.clone());
-        let opts = EngineOpts::default();
-        let sweep = ServeEngine::new(store, &opts, Recorder::enabled("serve-cache-sweep"));
-        let pool_pairs = random_pairs(n_pois, pool, 31 + pool as u64);
-        let mut rng = StdRng::seed_from_u64(17);
-        for _ in 0..20_000 {
-            let (a, b) = pool_pairs[rng.gen_range(0..pool_pairs.len())];
-            let _ = sweep.score(a, b);
-        }
-        let hits = sweep.recorder().counter(Counter::ServeCacheHits);
-        let misses = sweep.recorder().counter(Counter::ServeCacheMisses);
-        let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-        cache_sections.push(json::obj(&[
-            ("pool_size", json::int(pool as u64)),
-            ("requests", json::int(20_000)),
-            ("cache_capacity", json::int(sweep.cache_capacity() as u64)),
-            ("hit_rate", json::num(hit_rate)),
-        ]));
-        println!(
-            "serve_latency: pool {pool:6} (capacity {}) -> hit rate {hit_rate:.3}",
-            sweep.cache_capacity()
-        );
-    }
-
     let section = json::obj(&[
         ("single_pair_p50_us", json::num(p50)),
         ("single_pair_p95_us", json::num(p95)),
@@ -217,7 +178,6 @@ fn main() {
         ("single_pair_pairs_per_s", json::num(single_pairs_per_s)),
         ("eager_model_pairs_per_s", json::num(eager_pairs_per_s)),
         ("batched", json::arr(&batch_sections)),
-        ("cache_sweep", json::arr(&cache_sections)),
     ]);
     let path = bench_json_path();
     json::update_section(&path, "serve_latency", &section);

@@ -19,9 +19,9 @@
 //!   its latency is bounded regardless of store size. This profile gates
 //!   near-flat scaling: ANN p99 must grow ≤ 2× per 10× POIs.
 //!
-//! Per tier the harness also records index build time and the resolved
-//! (auto-sized) score-cache capacity. Results land in `BENCH_topk.json`;
-//! `examples/check_bench_regression.rs` re-checks the same gates in CI.
+//! Per tier the harness also records index build time. Results land in
+//! `BENCH_topk.json`; `examples/check_bench_regression.rs` re-checks the
+//! same gates in CI.
 
 use prim_bench::json;
 use prim_geo::{DistanceBins, GridIndex, Location};
@@ -265,7 +265,6 @@ fn main() {
         sections.push(json::obj(&[
             ("n_pois", json::int(n as u64)),
             ("ann_build_ms", json::num(build_ms)),
-            ("cache_capacity", json::int(engine.cache_capacity() as u64)),
             ("scan", profile_json(&scan, scan_opts.ann.ef_search)),
             ("beam", profile_json(&beam, beam_opts.ann.ef_search)),
         ]));

@@ -86,9 +86,11 @@ pub enum Counter {
     ServePairs,
     /// Calls into the batched scoring kernel (`batch` requests).
     ServeBatches,
-    /// Score-cache hits.
+    /// Retired: the serve engine has no score cache, so this stays 0.
+    /// Kept only because the frozen `perfbench/` still reads it.
     ServeCacheHits,
-    /// Score-cache misses.
+    /// Retired: the serve engine has no score cache, so this stays 0.
+    /// Kept only because the frozen `perfbench/` still reads it.
     ServeCacheMisses,
     /// Checkpoints written (rotation slots, not temp files).
     CkptSaves,
@@ -443,11 +445,6 @@ impl Recorder {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// The run name (empty when disabled).
-    pub fn run_name(&self) -> &str {
-        self.inner.as_deref().map(|i| i.run.as_str()).unwrap_or("")
     }
 
     /// Starts a scoped phase timer; the elapsed time is added to `phase`

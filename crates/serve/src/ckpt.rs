@@ -1247,6 +1247,17 @@ pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<PrimCheckpoint, CkptErr
     decode_checkpoint(load_raw(path)?)
 }
 
+/// Reads a stored id, rejecting anything but an integer in `0..limit`.
+fn stored_id(v: f64, limit: usize, what: &str) -> Result<u32, CkptError> {
+    if v >= 0.0 && v < limit as f64 && v.fract() == 0.0 {
+        Ok(v as u32)
+    } else {
+        Err(CkptError::Malformed(format!(
+            "{what} {v} out of range (0..{limit})"
+        )))
+    }
+}
+
 /// Interprets an already-decoded [`RawCheckpoint`] as a PRIM checkpoint —
 /// the second half of [`load_checkpoint`], split out so callers that got
 /// their bytes elsewhere (rotation recovery, fault-injection tests) share
@@ -1269,6 +1280,11 @@ pub fn decode_checkpoint(raw: RawCheckpoint) -> Result<PrimCheckpoint, CkptError
         return Err(CkptError::Malformed(format!(
             "{} relation names for {n_relations} relations",
             relation_names.len()
+        )));
+    }
+    if !(1..=u8::MAX as usize).contains(&n_relations) {
+        return Err(CkptError::Malformed(format!(
+            "{n_relations} relations, want 1..=255"
         )));
     }
     if tax_names.len() != n_nodes {
@@ -1324,26 +1340,38 @@ pub fn decode_checkpoint(raw: RawCheckpoint) -> Result<PrimCheckpoint, CkptError
             "location/category tensor sizes disagree with header counts".into(),
         ));
     }
-    let pois: Vec<Poi> = (0..n_pois)
-        .map(|i| Poi {
-            location: Location::new(loc.values[2 * i], loc.values[2 * i + 1]),
-            category: prim_graph::CategoryId(cat.values[i] as u32),
-        })
-        .collect();
-    let mut graph = HeteroGraph::new(pois, n_relations);
     let et = raw.tensor("graph.edges")?;
     if et.cols != 3 {
         return Err(CkptError::Malformed(
             "graph.edges must have 3 columns".into(),
         ));
     }
-    graph.add_edges(et.values.chunks_exact(3).map(|c| {
-        Edge::new(
-            PoiId(c[0] as u32),
-            PoiId(c[1] as u32),
-            RelationId(c[2] as u8),
-        )
-    }));
+    // Ids are checked here, not by the graph's asserts: a checksummed file
+    // can still carry them out of range, and loading must not panic.
+    let mut edges = Vec::with_capacity(et.rows);
+    for c in et.values.chunks_exact(3) {
+        let a = stored_id(c[0], n_pois, "edge endpoint")?;
+        let b = stored_id(c[1], n_pois, "edge endpoint")?;
+        let rel = stored_id(c[2], n_relations, "edge relation")?;
+        if a == b {
+            return Err(CkptError::Malformed(format!("self-loop edge on POI {a}")));
+        }
+        edges.push(Edge::new(PoiId(a), PoiId(b), RelationId(rel as u8)));
+    }
+    let pois = (0..n_pois)
+        .map(|i| {
+            Ok(Poi {
+                location: Location::new(loc.values[2 * i], loc.values[2 * i + 1]),
+                category: prim_graph::CategoryId(stored_id(
+                    cat.values[i],
+                    n_categories,
+                    "category",
+                )?),
+            })
+        })
+        .collect::<Result<Vec<Poi>, CkptError>>()?;
+    let mut graph = HeteroGraph::new(pois, n_relations);
+    graph.add_edges(edges);
 
     let at = raw.tensor("graph.attrs")?;
     if at.rows != n_pois {

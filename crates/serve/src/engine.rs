@@ -1,5 +1,5 @@
-//! The serving query engine: batched bitwise-faithful scoring, spatial
-//! top-k and an LRU score cache.
+//! The serving query engine: batched bitwise-faithful scoring and
+//! spatial top-k. Every score runs the kernel; nothing is cached.
 //!
 //! ## Bitwise contract
 //!
@@ -16,9 +16,8 @@
 //! accumulator chains over hoisted relation rows. None of those change
 //! any individual f32 chain — each score is still one `k`-ascending
 //! serial accumulation — so results are identical across batch sizes,
-//! cache states and thread counts.
+//! repeated calls and thread counts.
 
-use crate::cache::{pack_key, ScoreCache};
 use crate::store::EmbeddingStore;
 use prim_graph::PoiId;
 use prim_obs::{Counter, Phase, Recorder};
@@ -35,13 +34,6 @@ const PAIR_BLOCK: usize = 4;
 
 /// Relations per accumulator block in the batched kernel.
 const REL_BLOCK: usize = 2;
-
-/// Sentinel for [`EngineOpts::cache_capacity`]: size the score cache
-/// proportionally to the store (`8 × n_pois`, clamped to
-/// `[4096, 262144]`) instead of a fixed entry count. A fixed 1024-entry
-/// cache collapsed to a 10% hit rate on 10k-POI key pools; proportional
-/// sizing keeps the hit rate flat as stores grow.
-pub const CACHE_AUTO: usize = usize::MAX;
 
 /// ANN dispatch knobs for [`ServeEngine::top_k_related_mode`]. The engine
 /// picks one of three regimes per query from the grid's cell-population
@@ -94,9 +86,6 @@ impl Default for AnnOpts {
 /// Tuning knobs for [`ServeEngine`].
 #[derive(Clone, Debug)]
 pub struct EngineOpts {
-    /// Score-vector cache capacity (entries); 0 disables caching,
-    /// [`CACHE_AUTO`] (the default) sizes it to the store.
-    pub cache_capacity: usize,
     /// Not read by the server: single-pair scores run inline on the
     /// calling thread.
     pub batch_max_wait: Duration,
@@ -107,29 +96,19 @@ pub struct EngineOpts {
 impl Default for EngineOpts {
     fn default() -> Self {
         EngineOpts {
-            cache_capacity: CACHE_AUTO,
             batch_max_wait: Duration::from_micros(200),
             ann: AnnOpts::default(),
         }
     }
 }
 
-/// Resolves [`CACHE_AUTO`] against a store size.
-fn resolve_cache_capacity(requested: usize, n_pois: usize) -> usize {
-    if requested == CACHE_AUTO {
-        (n_pois * 8).clamp(4096, 1 << 18)
-    } else {
-        requested
-    }
-}
-
 /// Scores for one POI pair across the full relation set `R ∪ {φ}`.
 ///
 /// The score vector is a view into shared storage: results of one
-/// [`ServeEngine::batch`] call share a single allocation, and cache hits
-/// share the cached vector. A `PairScores` therefore keeps its source
-/// batch's score block alive until dropped — fine for the serve loop,
-/// which serialises and drops results immediately.
+/// [`ServeEngine::batch`] call share a single allocation. A `PairScores`
+/// therefore keeps its source batch's score block alive until dropped —
+/// fine for the serve loop, which serialises and drops results
+/// immediately.
 #[derive(Clone, Debug)]
 pub struct PairScores {
     /// Source POI id.
@@ -145,8 +124,6 @@ pub struct PairScores {
     pub best: usize,
     /// Score of the arg-max relation.
     pub best_score: f32,
-    /// Whether the vector came from the cache.
-    pub cached: bool,
 }
 
 impl PairScores {
@@ -155,15 +132,7 @@ impl PairScores {
         &self.all[self.offset..self.offset + self.n_rel]
     }
 
-    fn new(
-        src: u32,
-        dst: u32,
-        bin: usize,
-        all: Arc<[f32]>,
-        offset: usize,
-        n_rel: usize,
-        cached: bool,
-    ) -> Self {
+    fn new(src: u32, dst: u32, bin: usize, all: Arc<[f32]>, offset: usize, n_rel: usize) -> Self {
         // Strict > keeps the first maximum, matching predict_pairs.
         let mut best = 0usize;
         let mut best_score = f32::NEG_INFINITY;
@@ -182,7 +151,6 @@ impl PairScores {
             n_rel,
             best,
             best_score,
-            cached,
         }
     }
 }
@@ -203,23 +171,15 @@ pub struct Neighbor {
 /// Online inference engine over a frozen [`EmbeddingStore`].
 pub struct ServeEngine {
     store: EmbeddingStore,
-    cache: ScoreCache,
-    cache_capacity: usize,
     ann_opts: AnnOpts,
     recorder: Recorder,
 }
 
 impl ServeEngine {
-    /// Builds an engine. POI/bin counts must fit the packed cache key
-    /// (24/8 bits); real city graphs are far below both limits.
+    /// Builds an engine.
     pub fn new(store: EmbeddingStore, opts: &EngineOpts, recorder: Recorder) -> Self {
-        assert!(store.n_pois() < (1 << 24), "cache key packs 24-bit POI ids");
-        assert!(store.bins.len() < (1 << 8), "cache key packs 8-bit bins");
-        let cache_capacity = resolve_cache_capacity(opts.cache_capacity, store.n_pois());
         ServeEngine {
             store,
-            cache: ScoreCache::new(cache_capacity),
-            cache_capacity,
             ann_opts: opts.ann,
             recorder,
         }
@@ -230,93 +190,28 @@ impl ServeEngine {
         &self.store
     }
 
-    /// The resolved score-cache capacity ([`CACHE_AUTO`] already applied).
-    pub fn cache_capacity(&self) -> usize {
-        self.cache_capacity
-    }
-
     /// The engine's telemetry recorder.
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
     }
 
-    /// Scores one pair across all relations, consulting the cache first.
+    /// Scores one pair across all relations.
     pub fn score(&self, src: u32, dst: u32) -> PairScores {
         let _serve = self.recorder.phase(Phase::Serve);
         self.recorder.add(Counter::ServeRequests, 1);
         self.recorder.add(Counter::ServePairs, 1);
-        self.score_uncounted(src, dst)
+        let mut scored = self.score_uncounted(&[(src, dst)]);
+        scored.pop().expect("one pair in, one result out")
     }
 
-    /// Scores a batch of pairs in one kernel invocation. Cached pairs are
-    /// answered from the cache; the rest go through the batched kernel
-    /// together. Results come back in input order.
+    /// Scores a batch of pairs in one kernel invocation. Results come back
+    /// in input order and share one score block.
     pub fn batch(&self, pairs: &[(u32, u32)]) -> Vec<PairScores> {
         let _serve = self.recorder.phase(Phase::Serve);
         self.recorder.add(Counter::ServeRequests, 1);
         self.recorder.add(Counter::ServePairs, pairs.len() as u64);
         self.recorder.add(Counter::ServeBatches, 1);
-
-        let bins: Vec<usize> = pairs
-            .iter()
-            .map(|&(a, b)| self.store.pair_bin(PoiId(a), PoiId(b)))
-            .collect();
-
-        // Cache disabled: straight through the kernel, no per-pair probes
-        // or allocations — the whole batch shares one score block.
-        if !self.cache.is_enabled() {
-            self.recorder
-                .add(Counter::ServeCacheMisses, pairs.len() as u64);
-            let all: Arc<[f32]> = score_pairs_all(&self.store, pairs, &bins).into();
-            let n_rel = self.store.phi() + 1;
-            return pairs
-                .iter()
-                .zip(&bins)
-                .enumerate()
-                .map(|(i, (&(a, b), &bin))| {
-                    PairScores::new(a, b, bin, Arc::clone(&all), i * n_rel, n_rel, false)
-                })
-                .collect();
-        }
-
-        // Cache pass: collect the misses, remember where each came from.
-        let mut out: Vec<Option<PairScores>> = Vec::with_capacity(pairs.len());
-        let mut miss_idx: Vec<usize> = Vec::new();
-        for (i, (&(a, b), &bin)) in pairs.iter().zip(&bins).enumerate() {
-            match self.cache.get(pack_key(a, b, bin)) {
-                Some(v) => {
-                    let n_rel = v.len();
-                    out.push(Some(PairScores::new(a, b, bin, v, 0, n_rel, true)));
-                }
-                None => {
-                    miss_idx.push(i);
-                    out.push(None);
-                }
-            }
-        }
-        let hits = (pairs.len() - miss_idx.len()) as u64;
-        self.recorder.add(Counter::ServeCacheHits, hits);
-        self.recorder
-            .add(Counter::ServeCacheMisses, miss_idx.len() as u64);
-
-        if !miss_idx.is_empty() {
-            let miss_pairs: Vec<(u32, u32)> = miss_idx.iter().map(|&i| pairs[i]).collect();
-            let miss_bins: Vec<usize> = miss_idx.iter().map(|&i| bins[i]).collect();
-            let flat = score_pairs_all(&self.store, &miss_pairs, &miss_bins);
-            let n_rel = self.store.phi() + 1;
-            for (j, &i) in miss_idx.iter().enumerate() {
-                // One allocation per miss, shared between the cache entry
-                // and the returned result.
-                let scores: Arc<[f32]> = flat[j * n_rel..(j + 1) * n_rel].into();
-                let (a, b) = pairs[i];
-                self.cache
-                    .insert(pack_key(a, b, bins[i]), Arc::clone(&scores));
-                out[i] = Some(PairScores::new(a, b, bins[i], scores, 0, n_rel, false));
-            }
-        }
-        out.into_iter()
-            .map(|o| o.expect("every slot filled"))
-            .collect()
+        self.score_uncounted(pairs)
     }
 
     /// Scores the pairs of `src` against every POI within `radius_km`,
@@ -343,7 +238,7 @@ impl ServeEngine {
         self.recorder.add(Counter::ServeBatches, 1);
 
         let pairs: Vec<(u32, u32)> = candidates.iter().map(|&(j, _)| (src, j as u32)).collect();
-        let scored = self.batch_uncounted(&pairs);
+        let scored = self.score_uncounted(&pairs);
         let mut ranked: Vec<Neighbor> = scored
             .iter()
             .zip(&candidates)
@@ -535,7 +430,7 @@ impl ServeEngine {
         self.recorder.add(Counter::ServePairs, kept.len() as u64);
         self.recorder.add(Counter::ServeBatches, 1);
         let pairs: Vec<(u32, u32)> = kept.iter().map(|&(_, id)| (src, id)).collect();
-        let scored = self.batch_uncounted(&pairs);
+        let scored = self.score_uncounted(&pairs);
         let mut ranked: Vec<Neighbor> = scored
             .iter()
             .zip(&kept)
@@ -587,23 +482,6 @@ impl ServeEngine {
         (out, n_bins)
     }
 
-    /// [`Self::score`] without the request/pair counters (shared by paths
-    /// that already counted their work).
-    fn score_uncounted(&self, src: u32, dst: u32) -> PairScores {
-        let bin = self.store.pair_bin(PoiId(src), PoiId(dst));
-        let key = pack_key(src, dst, bin);
-        if let Some(v) = self.cache.get(key) {
-            self.recorder.add(Counter::ServeCacheHits, 1);
-            let n_rel = v.len();
-            return PairScores::new(src, dst, bin, v, 0, n_rel, true);
-        }
-        self.recorder.add(Counter::ServeCacheMisses, 1);
-        let n_rel = self.store.phi() + 1;
-        let scores: Arc<[f32]> = score_pairs_all(&self.store, &[(src, dst)], &[bin]).into();
-        self.cache.insert(key, Arc::clone(&scores));
-        PairScores::new(src, dst, bin, scores, 0, n_rel, false)
-    }
-
     /// Degraded `top_k`: the `k` nearest POIs within `radius_km` straight
     /// from the grid index, no scoring at all. This is the fallback the
     /// protocol layer switches to when a request's deadline no longer
@@ -618,11 +496,10 @@ impl ServeEngine {
         candidates.into_iter().map(|(j, d)| (j as u32, d)).collect()
     }
 
-    /// [`Self::batch`] without request counters or cache traffic: used by
-    /// `top_k_related`, which counts its own pairs. Radius scans rarely
-    /// repeat a specific pair, so probing or populating the point cache
-    /// would mostly churn it.
-    fn batch_uncounted(&self, pairs: &[(u32, u32)]) -> Vec<PairScores> {
+    /// Bins `pairs`, scores them with one [`score_pairs_all`] call and
+    /// returns one view per pair into the shared score block. Counts
+    /// nothing: every caller counts its own request, pairs and batches.
+    fn score_uncounted(&self, pairs: &[(u32, u32)]) -> Vec<PairScores> {
         let bins: Vec<usize> = pairs
             .iter()
             .map(|&(a, b)| self.store.pair_bin(PoiId(a), PoiId(b)))
@@ -634,7 +511,7 @@ impl ServeEngine {
             .zip(&bins)
             .enumerate()
             .map(|(i, (&(a, b), &bin))| {
-                PairScores::new(a, b, bin, Arc::clone(&all), i * n_rel, n_rel, false)
+                PairScores::new(a, b, bin, Arc::clone(&all), i * n_rel, n_rel)
             })
             .collect()
     }

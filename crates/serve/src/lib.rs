@@ -13,18 +13,17 @@
 //!    next to a [`prim_geo::GridIndex`]; queries never touch the autograd
 //!    tape.
 //! 3. **Query** — [`engine::ServeEngine`] answers point scores, batched
-//!    scores and spatial top-k over the frozen tables, with a sharded LRU
-//!    score cache and `prim-obs` telemetry.
+//!    scores and spatial top-k over the frozen tables, with `prim-obs`
+//!    telemetry.
 //! 4. **Speak** — [`proto`] defines a JSON-lines request/response
 //!    protocol; [`server`] runs it over stdin/stdout or a TCP listener.
 //!
 //! Every scoring path here reproduces
 //! [`prim_core::PrimModel::score_pair_eager`] *bitwise*: same operation
-//! order, same f32 accumulation, independent of batch size, cache state or
-//! thread count.
+//! order, same f32 accumulation, independent of batch size or thread
+//! count.
 
 pub mod ann;
-pub mod cache;
 pub mod chaos;
 pub mod ckpt;
 pub mod engine;
@@ -36,7 +35,6 @@ pub mod server;
 pub mod store;
 
 pub use ann::{AnnGraph, AnnIndex, AnnParams, Hnsw, QuantStore, SearchStats};
-pub use cache::ScoreCache;
 pub use chaos::{atomic_write, ChaosClient, ChaosIo, Fault, FaultPlan, FileIo, RealIo};
 pub use ckpt::{
     checksum, decode_bytes, decode_checkpoint, encode_checkpoint, encode_checkpoint_ingest,
@@ -47,7 +45,6 @@ pub use ckpt::{
 };
 pub use engine::{
     score_pairs_all, AnnOpts, Batcher, EngineOpts, EngineSlot, Neighbor, PairScores, ServeEngine,
-    CACHE_AUTO,
 };
 pub use poll::{Event, Interest, Poller};
 pub use proto::{

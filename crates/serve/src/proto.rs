@@ -25,9 +25,9 @@
 //!
 //! A [`ServeCtx`] hosts one or more named [`Tenant`]s, each a complete
 //! serving stack: its own [`EngineSlot`] (so hot `reload` stays per-city
-//! and atomic), score cache and `prim-obs` recorder. Requests carrying
-//! `"city"` route to that tenant; a name this process does not host earns
-//! a structured `unknown_tenant` error. On a single-tenant context a
+//! and atomic) and `prim-obs` recorder. Requests carrying `"city"` route
+//! to that tenant; a name this process does not host earns a structured
+//! `unknown_tenant` error. On a single-tenant context a
 //! request without `"city"` behaves exactly as the pre-tenancy protocol
 //! did — byte-for-byte, including `health` — and responses echo `"city"`
 //! only when the request named one. A multi-tenant `health` without
@@ -79,9 +79,8 @@ pub struct ServeLimits {
     /// `top_k` degrades to a grid-only answer when the remaining budget
     /// drops below this. Zero never degrades.
     pub degrade_margin: Duration,
-    /// How long a connection may stall mid-line before it is closed
-    /// (slow-loris protection); also the idle read timeout on the legacy
-    /// blocking paths.
+    /// How long a TCP connection may stall mid-line before it is closed
+    /// (slow-loris protection).
     pub read_timeout: Option<Duration>,
     /// How long a connection with queued response bytes may refuse to
     /// accept writes before it is closed (slow-reader protection).
@@ -206,7 +205,7 @@ pub trait IngestBackend: Send + Sync {
 
 /// One named city engine inside a serving process: hot-reloadable slot,
 /// optional ingest backend, and the checkpoint path `reload` last applied
-/// (engines carry their own score cache and recorder).
+/// (engines carry their own recorder).
 pub struct Tenant {
     name: String,
     slot: Arc<EngineSlot>,
@@ -387,12 +386,6 @@ impl ServeCtx {
         self
     }
 
-    /// Engine options for reload-built engines.
-    pub fn with_engine_opts(mut self, opts: EngineOpts) -> Self {
-        self.engine_opts = opts;
-        self
-    }
-
     /// The default tenant's current engine (resolved through its
     /// hot-reload slot).
     pub fn engine(&self) -> Arc<ServeEngine> {
@@ -506,7 +499,6 @@ fn pair_scores_json(engine: &ServeEngine, s: &PairScores) -> String {
         ("bin", json::int(s.bin as u64)),
         ("best", json::str(store.relation_name(s.best))),
         ("best_score", json::num(s.best_score as f64)),
-        ("cached", s.cached.to_string()),
         ("scores", json::arr(&scores)),
     ])
 }

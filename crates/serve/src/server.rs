@@ -73,48 +73,61 @@ fn note_disconnect(ctx: &ServeCtx, front: &str, e: &std::io::Error) {
     );
 }
 
-/// Runs the protocol over any line-based reader/writer pair until EOF or a
-/// `shutdown` op. Each request line produces exactly one response line. A
-/// peer that disappears mid-stream (broken pipe on either side) ends the
+/// Runs the protocol over any reader/writer pair until EOF or a `shutdown`
+/// op. Lines are framed by the same [`LineFramer`] as the TCP front end, so
+/// non-UTF-8 bytes and over-long lines earn a structured error instead of
+/// ending the loop. Each request line produces exactly one response line.
+/// A peer that disappears mid-stream (broken pipe on either side) ends the
 /// loop cleanly — logged and counted, not an error.
 pub fn serve_stdin(
     ctx: &ServeCtx,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     mut writer: impl Write,
 ) -> std::io::Result<()> {
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
+    let mut framer = LineFramer::new(ctx.limits.max_line_bytes);
+    let mut events = Vec::new();
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(c) => c,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) if is_disconnect(&e) => {
                 note_disconnect(ctx, "stdin", &e);
                 return Ok(());
             }
             Err(e) => return Err(e),
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let max = ctx.limits.max_line_bytes;
-        let handled = if max > 0 && line.len() > max {
-            ctx.engine().recorder().add(Counter::ServeOversized, 1);
-            oversized_line_error(line.len(), max)
-        } else {
-            let deadline = ctx.limits.deadline.map(|d| Instant::now() + d);
-            handle_request(ctx, &line, deadline)
-        };
-        let wrote = writeln!(writer, "{}", handled.response).and_then(|_| writer.flush());
-        if let Err(e) = wrote {
-            if is_disconnect(&e) {
-                note_disconnect(ctx, "stdin", &e);
+        // EOF completes a final line that has no trailing newline.
+        let eof = chunk.is_empty();
+        let n = chunk.len();
+        framer.push(if eof { b"\n" } else { chunk }, &mut |ev| events.push(ev));
+        reader.consume(n);
+        for ev in events.drain(..) {
+            let handled = match ev {
+                LineEvent::Line(line) => {
+                    let deadline = ctx.limits.deadline.map(|d| Instant::now() + d);
+                    handle_request(ctx, &line, deadline)
+                }
+                LineEvent::Oversized(len) => {
+                    ctx.engine().recorder().add(Counter::ServeOversized, 1);
+                    oversized_line_error(len, ctx.limits.max_line_bytes)
+                }
+            };
+            let wrote = writeln!(writer, "{}", handled.response).and_then(|_| writer.flush());
+            if let Err(e) = wrote {
+                if is_disconnect(&e) {
+                    note_disconnect(ctx, "stdin", &e);
+                    return Ok(());
+                }
+                return Err(e);
+            }
+            if handled.shutdown {
                 return Ok(());
             }
-            return Err(e);
         }
-        if handled.shutdown {
-            break;
+        if eof {
+            return Ok(());
         }
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -171,10 +184,10 @@ impl LineFramer {
     }
 
     /// Feeds one read chunk, emitting an event per completed (or
-    /// oversized) line. Empty/whitespace-only lines are skipped, matching
-    /// the stdin front end. Event payloads are *chunk-invariant*: however
-    /// the transport splits the stream across reads, the emitted sequence
-    /// is identical (pinned by the `proto_fuzz` properties).
+    /// oversized) line. Empty/whitespace-only lines are skipped. Event
+    /// payloads are *chunk-invariant*: however the transport splits the
+    /// stream across reads, the emitted sequence is identical (pinned by
+    /// the `proto_fuzz` properties).
     pub fn push(&mut self, bytes: &[u8], emit: &mut impl FnMut(LineEvent)) {
         let mut rest = bytes;
         while !rest.is_empty() {

@@ -1,6 +1,6 @@
 //! Serving parity: after save → load → rebuild, the engine's scores are
-//! bitwise identical to [`PrimModel::score_pair_eager`] — with the cache
-//! cold and warm, at one and at four kernel threads, through single,
+//! bitwise identical to [`PrimModel::score_pair_eager`] — on first and
+//! repeated scoring, at one and at four kernel threads, through single,
 //! batched and top-k paths.
 
 use prim_core::{fit, ModelInputs, PrimConfig, PrimModel};
@@ -13,6 +13,7 @@ use prim_serve::{
 use prim_tensor::kernel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -31,7 +32,7 @@ struct Fixture {
 /// Trains a small model, checkpoints it, reloads the checkpoint and
 /// builds an engine from the *reloaded* state — every comparison below
 /// crosses the full persistence boundary.
-fn fixture(cfg: PrimConfig, cache_capacity: usize) -> Fixture {
+fn fixture(cfg: PrimConfig) -> Fixture {
     let ds = Dataset::beijing(Scale::Quick).subsample(0.2, 5);
     let inputs = ModelInputs::build(
         &ds.graph,
@@ -44,7 +45,12 @@ fn fixture(cfg: PrimConfig, cache_capacity: usize) -> Fixture {
     let mut model = PrimModel::new(cfg, &inputs);
     fit(&mut model, &inputs, &ds.graph, ds.graph.edges(), None, None);
 
-    let path = tmp(&format!("parity_{cache_capacity}.ckpt"));
+    // One file per fixture: tests run in parallel.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let path = tmp(&format!(
+        "parity_{}.ckpt",
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     save_checkpoint(
         &path,
         "parity",
@@ -58,11 +64,11 @@ fn fixture(cfg: PrimConfig, cache_capacity: usize) -> Fixture {
     let ckpt = load_checkpoint(&path).unwrap();
     let (loaded, loaded_inputs) = ckpt.rebuild().unwrap();
     let store = EmbeddingStore::from_model(&loaded, &loaded_inputs, ckpt.relation_names.clone());
-    let opts = EngineOpts {
-        cache_capacity,
-        ..EngineOpts::default()
-    };
-    let engine = Arc::new(ServeEngine::new(store, &opts, Recorder::disabled()));
+    let engine = Arc::new(ServeEngine::new(
+        store,
+        &EngineOpts::default(),
+        Recorder::disabled(),
+    ));
 
     // Reference table from the ORIGINAL (pre-save) model: parity across
     // the checkpoint boundary, not just within one process state.
@@ -111,43 +117,34 @@ fn assert_pair_parity(fx: &Fixture, pairs: &[(u32, u32)], label: &str) {
 
 #[test]
 fn engine_matches_eager_bitwise_cold_warm_and_across_threads() {
-    let fx = fixture(
-        PrimConfig {
-            dim: 16,
-            cat_dim: 8,
-            epochs: 5,
-            val_check_every: 0,
-            ..PrimConfig::quick()
-        },
-        4096,
-    );
+    let fx = fixture(PrimConfig {
+        dim: 16,
+        cat_dim: 8,
+        epochs: 5,
+        val_check_every: 0,
+        ..PrimConfig::quick()
+    });
     let pairs = random_pairs(fx.engine.store().n_pois(), 1000, 42);
 
     kernel::set_threads(1);
-    assert_pair_parity(&fx, &pairs, "cold cache, 1 thread");
-    // Second pass: everything now comes from the cache and must still be
-    // the same bits.
-    assert_pair_parity(&fx, &pairs, "warm cache, 1 thread");
-    let warm = fx.engine.score(pairs[0].0, pairs[0].1);
-    assert!(warm.cached, "second pass must hit the cache");
+    assert_pair_parity(&fx, &pairs, "first pass, 1 thread");
+    // Second pass: scoring the same pairs again must give the same bits.
+    assert_pair_parity(&fx, &pairs, "second pass, 1 thread");
 
     kernel::set_threads(4);
-    assert_pair_parity(&fx, &pairs, "warm cache, 4 threads");
+    assert_pair_parity(&fx, &pairs, "second pass, 4 threads");
     kernel::set_threads(0);
 }
 
 #[test]
 fn batch_and_threads_do_not_change_bits() {
-    let fx = fixture(
-        PrimConfig {
-            dim: 16,
-            cat_dim: 8,
-            epochs: 4,
-            val_check_every: 0,
-            ..PrimConfig::quick()
-        },
-        0, // cache off: every call exercises the kernel
-    );
+    let fx = fixture(PrimConfig {
+        dim: 16,
+        cat_dim: 8,
+        epochs: 4,
+        val_check_every: 0,
+        ..PrimConfig::quick()
+    });
     let pairs = random_pairs(fx.engine.store().n_pois(), 512, 7);
 
     kernel::set_threads(1);
@@ -179,33 +176,27 @@ fn batch_and_threads_do_not_change_bits() {
 
 #[test]
 fn parity_holds_without_distance_scoring() {
-    let fx = fixture(
-        PrimConfig {
-            dim: 16,
-            cat_dim: 8,
-            epochs: 3,
-            val_check_every: 0,
-            use_distance_scoring: false,
-            ..PrimConfig::quick()
-        },
-        64,
-    );
+    let fx = fixture(PrimConfig {
+        dim: 16,
+        cat_dim: 8,
+        epochs: 3,
+        val_check_every: 0,
+        use_distance_scoring: false,
+        ..PrimConfig::quick()
+    });
     let pairs = random_pairs(fx.engine.store().n_pois(), 200, 11);
     assert_pair_parity(&fx, &pairs, "no distance scoring");
 }
 
 #[test]
 fn best_relation_matches_predict_pairs() {
-    let fx = fixture(
-        PrimConfig {
-            dim: 16,
-            cat_dim: 8,
-            epochs: 5,
-            val_check_every: 0,
-            ..PrimConfig::quick()
-        },
-        1024,
-    );
+    let fx = fixture(PrimConfig {
+        dim: 16,
+        cat_dim: 8,
+        epochs: 5,
+        val_check_every: 0,
+        ..PrimConfig::quick()
+    });
     let pairs = random_pairs(fx.engine.store().n_pois(), 300, 23);
     let id_pairs: Vec<(PoiId, PoiId)> = pairs.iter().map(|&(a, b)| (PoiId(a), PoiId(b))).collect();
     let want = fx.model.predict_pairs(&fx.table, &fx.inputs, &id_pairs);
@@ -216,16 +207,13 @@ fn best_relation_matches_predict_pairs() {
 
 #[test]
 fn top_k_is_deterministic_and_correctly_ranked() {
-    let fx = fixture(
-        PrimConfig {
-            dim: 16,
-            cat_dim: 8,
-            epochs: 4,
-            val_check_every: 0,
-            ..PrimConfig::quick()
-        },
-        0,
-    );
+    let fx = fixture(PrimConfig {
+        dim: 16,
+        cat_dim: 8,
+        epochs: 4,
+        val_check_every: 0,
+        ..PrimConfig::quick()
+    });
     let n = fx.engine.store().n_pois();
     for src in [0u32, (n as u32) / 2, n as u32 - 1] {
         let a = fx.engine.top_k_related(src, 2.0, 5, 0);
@@ -258,16 +246,13 @@ fn top_k_is_deterministic_and_correctly_ranked() {
 fn tcp_server_round_trip_on_loopback() {
     use std::io::{BufRead, BufReader, Write};
 
-    let fx = fixture(
-        PrimConfig {
-            dim: 12,
-            cat_dim: 6,
-            epochs: 3,
-            val_check_every: 0,
-            ..PrimConfig::quick()
-        },
-        256,
-    );
+    let fx = fixture(PrimConfig {
+        dim: 12,
+        cat_dim: 6,
+        epochs: 3,
+        val_check_every: 0,
+        ..PrimConfig::quick()
+    });
     let ctx = ServeCtx::direct(Arc::clone(&fx.engine));
     let server = prim_serve::TcpServer::bind("127.0.0.1:0", ctx).unwrap();
     let addr = server.local_addr().unwrap();
@@ -310,16 +295,13 @@ fn tcp_server_round_trip_on_loopback() {
 
 #[test]
 fn stdin_front_end_handles_requests_and_errors() {
-    let fx = fixture(
-        PrimConfig {
-            dim: 12,
-            cat_dim: 6,
-            epochs: 3,
-            val_check_every: 0,
-            ..PrimConfig::quick()
-        },
-        256,
-    );
+    let fx = fixture(PrimConfig {
+        dim: 12,
+        cat_dim: 6,
+        epochs: 3,
+        val_check_every: 0,
+        ..PrimConfig::quick()
+    });
     let ctx = ServeCtx::direct(Arc::clone(&fx.engine));
     let requests = "\
 {\"op\": \"score\", \"src\": 0, \"dst\": 2}\n\

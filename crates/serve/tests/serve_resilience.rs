@@ -467,3 +467,29 @@ fn unknown_op_and_bad_json_carry_codes() {
     let v = parse(&handle_line(&ctx, "not json at all").response);
     assert_eq!(code(&v).as_deref(), Some("bad_request"));
 }
+
+/// A line that is not UTF-8 earns a structured error and the stdin loop
+/// keeps serving the lines after it.
+#[test]
+fn stdin_answers_every_line_around_a_non_utf8_one() {
+    let fx = fixture("stdin-utf8", "v1");
+    let ctx = ServeCtx::direct(Arc::clone(&fx.engine));
+    let input: &[u8] = b"{\"op\": \"health\"}\n{\"op\": \"he\xffalth\"}\n{\"op\": \"health\"}\n";
+    let mut out = Vec::new();
+    prim_serve::serve_stdin(&ctx, input, &mut out).expect("a bad line is not an I/O error");
+    let text = String::from_utf8(out).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 3, "one response per line:\n{text}");
+    for (line, ok) in lines.iter().zip([true, false, true]) {
+        let v = parse(line);
+        assert_eq!(v.get("ok"), Some(&Value::Bool(ok)), "{line}");
+        assert_eq!(code(&v).is_some(), !ok, "{line}");
+    }
+
+    // `shutdown` still ends the loop when more lines follow in the same read.
+    let input: &[u8] = b"{\"op\": \"shutdown\"}\n{\"op\": \"health\"}\n";
+    let mut out = Vec::new();
+    prim_serve::serve_stdin(&ctx, input, &mut out).unwrap();
+    let text = String::from_utf8(out).unwrap();
+    assert_eq!(text.lines().count(), 1, "nothing after shutdown:\n{text}");
+}

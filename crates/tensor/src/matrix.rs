@@ -148,11 +148,6 @@ impl Matrix {
         Matrix::from_vec(values.len(), 1, values.to_vec())
     }
 
-    /// Builds a `1 × n` row vector from a slice.
-    pub fn row_vector(values: &[f32]) -> Self {
-        Matrix::from_vec(1, values.len(), values.to_vec())
-    }
-
     /// Builds the `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
         Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })

@@ -40,7 +40,7 @@
 //! The serving process never touches the training dataset: everything it
 //! needs — parameters, POI geometry, taxonomy, relation names, distance
 //! bins — comes out of the checkpoint. Set `PRIM_RUN_REPORT` to capture
-//! serve-phase telemetry (request/pair/batch/cache counters) as JSON lines.
+//! serve-phase telemetry (request/pair/batch counters) as JSON lines.
 
 use prim::model::{fit, ModelInputs, NoopHook, PrimConfig, PrimModel};
 use prim::prelude::*;
@@ -55,12 +55,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("train-save") if args.len() == 2 => train_save(&args[1]),
-        Some("serve-stdin") if args.len() >= 2 => {
-            serve_stdin_mode(&args[1], engine_opts(&args[2..]))
-        }
-        Some("serve-tcp") if args.len() >= 3 => {
-            serve_tcp_mode(&args[1], &args[2], engine_opts(&args[3..]))
-        }
+        Some("serve-stdin") if args.len() == 2 => serve_stdin_mode(&args[1]),
+        Some("serve-tcp") if args.len() == 3 => serve_tcp_mode(&args[1], &args[2]),
         Some("train-resumable") if args.len() == 2 => train_resumable(&args[1], None),
         Some("train-resumable") if args.len() == 4 && args[2] == "kill-at-op" => {
             let at: usize = args[3].parse().unwrap_or_else(|_| {
@@ -83,8 +79,8 @@ fn main() {
         _ => {
             eprintln!(
                 "usage: prim_serve train-save <ckpt>\n       \
-                 prim_serve serve-stdin <ckpt> [--cache-capacity <n|auto>]\n       \
-                 prim_serve serve-tcp <ckpt|city=ckpt[,city=ckpt...]> <addr> [--cache-capacity <n|auto>]\n       \
+                 prim_serve serve-stdin <ckpt>\n       \
+                 prim_serve serve-tcp <ckpt|city=ckpt[,city=ckpt...]> <addr>\n       \
                  prim_serve train-resumable <dir> [kill-at-op <n>]\n       \
                  prim_serve client <addr> <count>\n       \
                  prim_serve reload <addr> <ckpt>"
@@ -92,35 +88,6 @@ fn main() {
             std::process::exit(2);
         }
     }
-}
-
-/// Parses serve-mode flags. `--cache-capacity` takes an entry count, `0`
-/// (cache off), or `auto` (the default: sized proportional to the store).
-fn engine_opts(flags: &[String]) -> EngineOpts {
-    let mut opts = EngineOpts::default();
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--cache-capacity" => {
-                let val = it.next().map(String::as_str).unwrap_or_else(|| {
-                    eprintln!("prim_serve: --cache-capacity wants a value");
-                    std::process::exit(2);
-                });
-                opts.cache_capacity = match val {
-                    "auto" => prim::serve::CACHE_AUTO,
-                    n => n.parse().unwrap_or_else(|_| {
-                        eprintln!("prim_serve: --cache-capacity wants <n|auto>, got {n:?}");
-                        std::process::exit(2);
-                    }),
-                };
-            }
-            other => {
-                eprintln!("prim_serve: unknown flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
 }
 
 /// Trains a laptop-scale model on a city subsample and checkpoints it.
@@ -177,13 +144,13 @@ fn train_save(path: &str) {
 /// [`EmbeddingStore::from_checkpoint`] so a persisted `ann.*` graph is
 /// adopted instead of rebuilt (and a checkpoint without one gets a fresh
 /// deterministic index).
-fn load_engine(path: &str, opts: &EngineOpts) -> Arc<ServeEngine> {
-    load_engine_as(path, opts, "prim-serve")
+fn load_engine(path: &str) -> Arc<ServeEngine> {
+    load_engine_as(path, "prim-serve")
 }
 
 /// [`load_engine`] with an explicit recorder name, so each tenant of a
 /// multi-tenant server writes its own `prim-serve:<city>` telemetry run.
-fn load_engine_as(path: &str, opts: &EngineOpts, run: &str) -> Arc<ServeEngine> {
+fn load_engine_as(path: &str, run: &str) -> Arc<ServeEngine> {
     let ckpt = prim::serve::load_checkpoint(path).unwrap_or_else(|e| {
         eprintln!("prim_serve: loading {path}: {e}");
         std::process::exit(1);
@@ -205,13 +172,11 @@ fn load_engine_as(path: &str, opts: &EngineOpts, run: &str) -> Arc<ServeEngine> 
         }
     );
     let recorder = Recorder::from_env(run);
-    let engine = Arc::new(ServeEngine::new(store, opts, recorder));
-    eprintln!("score cache capacity {}", engine.cache_capacity());
-    engine
+    Arc::new(ServeEngine::new(store, &EngineOpts::default(), recorder))
 }
 
-fn serve_stdin_mode(path: &str, opts: EngineOpts) {
-    let engine = load_engine(path, &opts);
+fn serve_stdin_mode(path: &str) {
+    let engine = load_engine(path);
     let ctx = ServeCtx::direct(Arc::clone(&engine));
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
@@ -403,7 +368,7 @@ fn reload_mode(addr: &str, ckpt: &str) {
 /// single-tenant behavior; the multi-tenant form routes requests on their
 /// `"city"` field and gives every city its own telemetry run
 /// (`prim-serve:<city>`).
-fn serve_tcp_mode(spec: &str, addr: &str, opts: EngineOpts) {
+fn serve_tcp_mode(spec: &str, addr: &str) {
     let engines: Vec<Arc<ServeEngine>>;
     let ctx = if spec.contains('=') {
         let mut tenants = Vec::new();
@@ -416,15 +381,15 @@ fn serve_tcp_mode(spec: &str, addr: &str, opts: EngineOpts) {
                     std::process::exit(2);
                 }
             };
-            let engine = load_engine_as(path, &opts, &format!("prim-serve:{city}"));
+            let engine = load_engine_as(path, &format!("prim-serve:{city}"));
             loaded.push(Arc::clone(&engine));
             tenants.push(TenantSpec::new(city, engine).with_ckpt_path(path));
         }
         eprintln!("routing {} tenants by \"city\"", tenants.len());
         engines = loaded;
-        ServeCtx::multi(tenants).with_engine_opts(opts)
+        ServeCtx::multi(tenants)
     } else {
-        let engine = load_engine(spec, &opts);
+        let engine = load_engine(spec);
         engines = vec![Arc::clone(&engine)];
         ServeCtx::direct(engine)
     };
