@@ -7,10 +7,12 @@
 //! Besides printing a table, the harness asserts bitwise parity between the
 //! blocked/parallel kernels and their references, counts heap allocations
 //! of a steady-state training step through a counting global allocator
-//! (the pooled tape must stay within a small fixed budget), and records
-//! every measurement in `BENCH_kernels.json` (sections `micro_kernels` and
-//! `train_epoch`, path overridable via `PRIM_BENCH_JSON`) so before/after
-//! numbers are diffable across commits.
+//! (the pooled tape must stay within a small fixed budget), measures the
+//! peak heap bytes `embed` adds against a training-tape forward, and
+//! records every measurement in `BENCH_kernels.json` (sections
+//! `micro_kernels`, `embed_memory`, `train_epoch` and `train_scaling`, path
+//! overridable via `PRIM_BENCH_JSON`) so before/after numbers are diffable
+//! across commits.
 
 use prim_bench::{emit, json};
 use prim_core::{
@@ -29,33 +31,49 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Wraps the system allocator and counts every allocation, so the harness
-/// can verify that steady-state pooled training steps stay allocation-free
-/// (up to a small fixed budget of bookkeeping vectors).
+/// Wraps the system allocator, counting every allocation and tracking live
+/// and peak heap bytes, so the harness can verify that steady-state pooled
+/// training steps stay allocation-free (up to a small fixed budget of
+/// bookkeeping vectors) and measure the peak memory of a forward pass.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn grow_live(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow_live(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow_live(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if new_size >= layout.size() {
+            grow_live(new_size - layout.size());
+        } else {
+            LIVE_BYTES.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+        }
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -65,6 +83,14 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Peak heap bytes that `f` adds on top of what was live when it started.
+fn peak_bytes_added<R>(f: impl FnOnce() -> R) -> usize {
+    let base = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(base, Ordering::Relaxed);
+    black_box(f());
+    PEAK_BYTES.load(Ordering::Relaxed).saturating_sub(base)
 }
 
 /// Best-of-`reps` wall time in seconds (minimum filters scheduler noise).
@@ -315,7 +341,11 @@ impl TimedRecord {
     }
 }
 
-fn bench_model_paths(out: &mut Vec<TimedRecord>) {
+/// Times the model's forward, eager and batch prediction paths on the quick
+/// city, and returns the `embed_memory` record: peak heap bytes added by a
+/// training-tape forward and by `embed` (an inference graph) over the same
+/// inputs.
+fn bench_model_paths(out: &mut Vec<TimedRecord>) -> String {
     let ds = Dataset::beijing(Scale::Quick).subsample(0.4, 5);
     let cfg = PrimConfig::quick();
     let inputs = ModelInputs::build(
@@ -332,6 +362,25 @@ fn bench_model_paths(out: &mut Vec<TimedRecord>) {
         name: "prim_forward_quick_city".into(),
         seconds: best_of(5, || model.embed(&inputs)),
     });
+
+    let tape_peak = peak_bytes_added(|| {
+        let mut g = Graph::new();
+        let bind = model.params().bind(&mut g);
+        let fwd = model.forward(&mut g, &bind, &inputs);
+        g.value(fwd.h_final).sum()
+    });
+    let inference_peak = peak_bytes_added(|| model.embed(&inputs));
+    let embed_memory = json::obj(&[
+        ("n_pois", json::num(inputs.n_pois as f64)),
+        ("tape_peak_mb", json::num(tape_peak as f64 / 1e6)),
+        ("inference_peak_mb", json::num(inference_peak as f64 / 1e6)),
+        ("ratio", json::num(inference_peak as f64 / tape_peak as f64)),
+    ]);
+    println!(
+        "embed peak heap: training tape {:.2} MB, inference graph {:.2} MB",
+        tape_peak as f64 / 1e6,
+        inference_peak as f64 / 1e6
+    );
 
     let table = model.embed(&inputs);
     out.push(TimedRecord {
@@ -355,6 +404,7 @@ fn bench_model_paths(out: &mut Vec<TimedRecord>) {
         name: "prim_predict_pairs_5k".into(),
         seconds: best_of(5, || model.predict_pairs(&table, &inputs, &pairs)),
     });
+    embed_memory
 }
 
 /// Steady-state pooled training steps may allocate only this many times —
@@ -600,7 +650,7 @@ fn main() {
     bench_segment_parallel(par_threads, 4_000, 500, 8, &mut segments);
 
     let mut others = Vec::new();
-    bench_model_paths(&mut others);
+    let embed_memory = bench_model_paths(&mut others);
 
     let mut t = Table::new(
         "Micro-kernels: optimised vs reference",
@@ -678,6 +728,7 @@ fn main() {
     ]);
     let path = json::bench_json_path();
     json::update_section(&path, "micro_kernels", &section);
+    json::update_section(&path, "embed_memory", &embed_memory);
 
     let train_section = bench_train_epoch(par_threads);
     json::update_section(&path, "train_epoch", &train_section);

@@ -266,6 +266,10 @@ impl PrimModel {
     }
 
     /// Runs the full forward pass on a fresh tape.
+    ///
+    /// On a [`Graph::inference`] graph the pass frees its intermediates as
+    /// it goes (see [`PrimModel::embed`]): only the returned vars and the
+    /// nodes recorded before the first layer stay readable.
     pub fn forward(&self, g: &mut Graph, bind: &Binding, inputs: &ModelInputs) -> ForwardOutput {
         let adj = &inputs.adjacency;
         let plans = &inputs.plans;
@@ -293,11 +297,19 @@ impl PrimModel {
         let head_dim = self.cfg.head_dim();
         let dist_dim = self.cfg.dist_feat_dim;
         for layer in &self.layers {
+            // Each scope below ends with `release_since`, which on an
+            // inference graph drops every value the scope made except its
+            // outputs (a no-op on a training tape).
+            let layer_mark = g.len();
             let h_star = g.concat_cols(&[h, q]);
             let mut head_outs = Vec::with_capacity(layer.heads.len());
             if has_edges {
                 // Relation-specific messages γ(h*_j, h_r) (Eq. 1) do not
-                // depend on the head, so compute them once per layer.
+                // depend on the head, so compute them once per layer, and
+                // project them for all heads at once (columns of a product
+                // are independent, so each head's slice is identical to its
+                // standalone matmul).
+                let msg_mark = g.len();
                 let h_src = g.gather_rows_planned(h_star, &plans.edge_src);
                 let hr_edge = g.gather_rows_planned(hr, &plans.edge_rel_all);
                 let msg = match self.cfg.gamma {
@@ -305,25 +317,25 @@ impl PrimModel {
                     GammaOp::Subtract => g.sub(h_src, hr_edge),
                     GammaOp::CircularCorrelation => g.rows_circ_corr(h_src, hr_edge),
                 };
+                let w_msg_all: Vec<Var> = layer.heads.iter().map(|hd| bind.var(hd.w_msg)).collect();
+                let w_msg_cat = g.concat_cols(&w_msg_all);
+                let msg_p_all = g.matmul(msg, w_msg_cat);
+                g.release_since(msg_mark, &[msg_p_all]);
 
-                // Batch the per-head projections into single wide matmuls
-                // (columns of a product are independent, so each head's slice
-                // is identical to its standalone matmul), then gather edge
-                // rows once for all heads.
+                // Batch the attention projections the same way, then gather
+                // edge rows once for all heads.
                 let w_att_all: Vec<Var> = layer.heads.iter().map(|hd| bind.var(hd.w_att)).collect();
                 let w_dist_all: Vec<Var> =
                     layer.heads.iter().map(|hd| bind.var(hd.w_dist)).collect();
-                let w_msg_all: Vec<Var> = layer.heads.iter().map(|hd| bind.var(hd.w_msg)).collect();
                 let w_att_cat = g.concat_cols(&w_att_all);
                 let w_dist_cat = g.concat_cols(&w_dist_all);
-                let w_msg_cat = g.concat_cols(&w_msg_all);
                 let ha_all = g.matmul(h_star, w_att_cat);
                 let dproj_all = g.matmul(dist_feats, w_dist_cat);
-                let msg_p_all = g.matmul(msg, w_msg_cat);
                 let ha_dst_all = g.gather_rows_planned(ha_all, &plans.edge_dst);
                 let ha_src_all = g.gather_rows_planned(ha_all, &plans.edge_src);
 
                 for (k, head) in layer.heads.iter().enumerate() {
+                    let head_mark = g.len();
                     // Spatial-aware attention (Eq. 3-4).
                     let ha_dst = g.slice_cols(ha_dst_all, k * head_dim, head_dim);
                     let ha_src = g.slice_cols(ha_src_all, k * head_dim, head_dim);
@@ -340,6 +352,7 @@ impl PrimModel {
                     let seg_agg = g.segment_sum_planned(weighted, &plans.intra);
                     // … then inter-relation aggregation into each POI.
                     let node_agg = g.segment_sum_planned(seg_agg, &plans.seg_dst);
+                    g.release_since(head_mark, &[node_agg]);
                     head_outs.push(node_agg);
                 }
             }
@@ -352,10 +365,12 @@ impl PrimModel {
             };
             h = g.elu(combined);
             hr = g.matmul(hr, bind.var(layer.w_rel));
+            g.release_since(layer_mark, &[h, hr]);
         }
 
         // Self-attentive spatial context (Eq. 6-10).
         if self.cfg.use_spatial_context && !inputs.spatial.is_empty() {
+            let ctx_mark = g.len();
             // One fused projection for queries/keys/values instead of three
             // passes over `h`; each slice equals its standalone matmul.
             let dim = self.cfg.dim;
@@ -377,6 +392,7 @@ impl PrimModel {
             let ctx_seg = g.segment_sum_planned(ctx_edges, &plans.sp_seg);
             let ctx = g.segment_sum_planned(ctx_seg, &plans.sp_seg_dst);
             h = g.add(h, ctx);
+            g.release_since(ctx_mark, &[h]);
         } else if self.cfg.use_spatial_context {
             if let Some(zero_ctx) = &inputs.spatial_forced_zero {
                 // Subset with no spatial edges while the full graph has
@@ -639,8 +655,12 @@ impl PrimModel {
     }
 
     /// Runs a gradient-free forward pass and detaches all embeddings.
+    ///
+    /// The pass runs on a [`Graph::inference`] graph, so each scope of
+    /// [`PrimModel::forward`] frees its intermediates as it ends; the values
+    /// are bitwise those of a training-tape forward.
     pub fn embed(&self, inputs: &ModelInputs) -> EmbeddingTable {
-        let mut g = Graph::new();
+        let mut g = Graph::inference();
         let bind = self.store.bind(&mut g);
         let fwd = self.forward(&mut g, &bind, inputs);
         let bin_raw = self.store.value(self.w_bins);

@@ -27,6 +27,20 @@
 //! graph structure instead of cloning an E-sized index slice per call, and
 //! run their reductions in parallel by output segment (bitwise identical to
 //! serial — see [`crate::segment`]).
+//!
+//! ## Inference graphs
+//!
+//! A training tape must keep every value until backward has read it. A
+//! forward pass that only wants its outputs does not: most intermediates
+//! (edge gathers, messages, per-head slices, attention logits) are dead as
+//! soon as the next op has consumed them. [`Graph::inference`] builds a
+//! graph that can never run backward, and on it
+//! [`Graph::release_since`]`(mark, keep)` drops the values of every node
+//! recorded since `mark` except `keep`. The caller marks scopes with
+//! [`Graph::len`] and names the scope's outputs; on a training graph the
+//! same call does nothing, so one forward function serves both. Released
+//! buffers are freed rather than pooled — most have sizes no later op asks
+//! for — and reading a released node panics with its index.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -112,9 +126,18 @@ enum Op {
 }
 
 struct Node {
-    value: Matrix,
+    /// `None` once [`Graph::release_since`] has dropped it.
+    value: Option<Matrix>,
     op: Op,
     requires_grad: bool,
+}
+
+/// Value of node `v`; panics, naming the node, if it was released.
+fn value_of(nodes: &[Node], v: Var) -> &Matrix {
+    nodes[v.0]
+        .value
+        .as_ref()
+        .unwrap_or_else(|| panic!("node {} was read after release_since dropped it", v.0))
 }
 
 /// Size-keyed recycling pool of `f32` buffers.
@@ -231,6 +254,9 @@ pub struct Graph {
     pool: BufferPool,
     /// Recycled gradient-slot vector, reused by the next backward pass.
     spare_grads: Vec<Option<Matrix>>,
+    /// Set by [`Graph::inference`]: no backward pass, and
+    /// [`Graph::release_since`] drops dead values.
+    inference: bool,
 }
 
 const NORM_EPS: f32 = 1e-12;
@@ -257,6 +283,32 @@ impl Graph {
         Graph::default()
     }
 
+    /// Creates an empty graph that will never run backward, so
+    /// [`Graph::release_since`] may drop values the forward pass has
+    /// finished with. [`Graph::backward`] and [`Graph::backward_seeded`]
+    /// panic on it.
+    pub fn inference() -> Self {
+        Graph {
+            inference: true,
+            ..Graph::default()
+        }
+    }
+
+    /// On an inference graph, drops the value of every node recorded at or
+    /// after `mark` (a [`Graph::len`] taken earlier) except those in `keep`.
+    /// The buffers are freed, not pooled. Reading a released node panics.
+    /// On a training graph this does nothing: backward needs every value.
+    pub fn release_since(&mut self, mark: usize, keep: &[Var]) {
+        if !self.inference {
+            return;
+        }
+        for (idx, node) in self.nodes.iter_mut().enumerate().skip(mark) {
+            if !keep.contains(&Var(idx)) {
+                node.value = None;
+            }
+        }
+    }
+
     /// Number of recorded nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -273,7 +325,9 @@ impl Graph {
     pub fn reset(&mut self) {
         let mut nodes = std::mem::take(&mut self.nodes);
         for node in nodes.drain(..) {
-            self.pool.put_back(node.value);
+            if let Some(value) = node.value {
+                self.pool.put_back(value);
+            }
         }
         self.nodes = nodes;
     }
@@ -297,7 +351,7 @@ impl Graph {
 
     fn push(&mut self, value: Matrix, op: Op, requires_grad: bool) -> Var {
         self.nodes.push(Node {
-            value,
+            value: Some(value),
             op,
             requires_grad,
         });
@@ -336,21 +390,19 @@ impl Graph {
 
     /// Value of a node.
     pub fn value(&self, v: Var) -> &Matrix {
-        &self.nodes[v.0].value
+        value_of(&self.nodes, v)
     }
 
     /// Shape of a node's value.
     pub fn shape(&self, v: Var) -> (usize, usize) {
-        self.nodes[v.0].value.shape()
+        value_of(&self.nodes, v).shape()
     }
 
     /// Matrix product.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let (m, n) = (self.shape(a).0, self.shape(b).1);
         let mut value = self.pool.uninit(m, n);
-        self.nodes[a.0]
-            .value
-            .matmul_into(&self.nodes[b.0].value, &mut value);
+        value_of(&self.nodes, a).matmul_into(value_of(&self.nodes, b), &mut value);
         let rg = self.rg(a) || self.rg(b);
         self.push(value, Op::MatMul(a, b), rg)
     }
@@ -358,8 +410,8 @@ impl Graph {
     /// Element-wise sum.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.shape(a), self.shape(b), "add shape mismatch");
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
-        kernel::par_zip_apply(value.data_mut(), self.nodes[b.0].value.data(), |x, y| {
+        let mut value = self.pool.copy_of(value_of(&self.nodes, a));
+        kernel::par_zip_apply(value.data_mut(), value_of(&self.nodes, b).data(), |x, y| {
             *x += y
         });
         let rg = self.rg(a) || self.rg(b);
@@ -369,8 +421,8 @@ impl Graph {
     /// Element-wise difference.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.shape(a), self.shape(b), "sub shape mismatch");
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
-        kernel::par_zip_apply(value.data_mut(), self.nodes[b.0].value.data(), |x, y| {
+        let mut value = self.pool.copy_of(value_of(&self.nodes, a));
+        kernel::par_zip_apply(value.data_mut(), value_of(&self.nodes, b).data(), |x, y| {
             *x -= y
         });
         let rg = self.rg(a) || self.rg(b);
@@ -380,8 +432,8 @@ impl Graph {
     /// Element-wise (Hadamard) product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.shape(a), self.shape(b), "mul shape mismatch");
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
-        kernel::par_zip_apply(value.data_mut(), self.nodes[b.0].value.data(), |x, y| {
+        let mut value = self.pool.copy_of(value_of(&self.nodes, a));
+        kernel::par_zip_apply(value.data_mut(), value_of(&self.nodes, b).data(), |x, y| {
             *x *= y
         });
         let rg = self.rg(a) || self.rg(b);
@@ -392,9 +444,9 @@ impl Graph {
     pub fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var {
         let (_, c) = self.shape(a);
         assert_eq!(self.shape(b), (1, c), "add_row_broadcast: b must be 1x{c}");
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(value_of(&self.nodes, a));
         if c > 0 {
-            let bm = &self.nodes[b.0].value;
+            let bm = value_of(&self.nodes, b);
             kernel::par_row_chunks(value.data_mut(), c, row_grain(c), |_, chunk| {
                 for row in chunk.chunks_mut(c) {
                     for (x, &y) in row.iter_mut().zip(bm.row(0)) {
@@ -409,7 +461,7 @@ impl Graph {
 
     /// Multiplies every element by the constant `k`.
     pub fn scale(&mut self, a: Var, k: f32) -> Var {
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(value_of(&self.nodes, a));
         kernel::par_apply(value.data_mut(), |v| *v *= k);
         let rg = self.rg(a);
         self.push(value, Op::Scale(a, k), rg)
@@ -417,7 +469,7 @@ impl Graph {
 
     /// Adds the constant `k` to every element.
     pub fn add_scalar(&mut self, a: Var, k: f32) -> Var {
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(value_of(&self.nodes, a));
         kernel::par_apply(value.data_mut(), |v| *v += k);
         let rg = self.rg(a);
         self.push(value, Op::AddScalar(a), rg)
@@ -426,8 +478,8 @@ impl Graph {
     /// Multiplies a matrix by a `1×1` variable.
     pub fn mul_scalar_var(&mut self, a: Var, s: Var) -> Var {
         assert_eq!(self.shape(s), (1, 1), "mul_scalar_var: s must be 1x1");
-        let k = self.nodes[s.0].value.scalar();
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let k = value_of(&self.nodes, s).scalar();
+        let mut value = self.pool.copy_of(value_of(&self.nodes, a));
         kernel::par_apply(value.data_mut(), |v| *v *= k);
         let rg = self.rg(a) || self.rg(s);
         self.push(value, Op::MulScalarVar(a, s), rg)
@@ -451,7 +503,7 @@ impl Graph {
                     let r = r0 + dr;
                     let mut offset = 0;
                     for &p in parts {
-                        let m = &nodes[p.0].value;
+                        let m = value_of(nodes, p);
                         row[offset..offset + m.cols()].copy_from_slice(m.row(r));
                         offset += m.cols();
                     }
@@ -474,7 +526,7 @@ impl Graph {
         );
         let mut value = self.pool.uninit(n, width);
         if width > 0 {
-            let input = &self.nodes[a.0].value;
+            let input = value_of(&self.nodes, a);
             kernel::par_row_chunks(value.data_mut(), width, row_grain(width), |r0, chunk| {
                 for (dr, row) in chunk.chunks_mut(width).enumerate() {
                     row.copy_from_slice(&input.row(r0 + dr)[start..start + width]);
@@ -498,7 +550,7 @@ impl Graph {
         let mut value = self.pool.uninit(rows, cols);
         let mut offset = 0;
         for &p in parts {
-            let m = &self.nodes[p.0].value;
+            let m = value_of(&self.nodes, p);
             value.data_mut()[offset..offset + m.len()].copy_from_slice(m.data());
             offset += m.len();
         }
@@ -529,7 +581,7 @@ impl Graph {
             plan.n_segments()
         );
         let mut value = self.pool.uninit(plan.len(), c);
-        segment::broadcast_segments_into(&self.nodes[a.0].value, plan, &mut value);
+        segment::broadcast_segments_into(value_of(&self.nodes, a), plan, &mut value);
         let rg = self.rg(a);
         self.push(value, Op::GatherRows(a, Arc::clone(plan)), rg)
     }
@@ -549,7 +601,7 @@ impl Graph {
         let (n, c) = self.shape(a);
         assert_eq!(plan.len(), n, "segment_sum: segment map length mismatch");
         let mut value = self.pool.zeroed(plan.n_segments(), c);
-        segment::segment_sum_into(&self.nodes[a.0].value, plan, &mut value);
+        segment::segment_sum_into(value_of(&self.nodes, a), plan, &mut value);
         let rg = self.rg(a);
         self.push(
             value,
@@ -588,7 +640,7 @@ impl Graph {
         let mut seg_sum = self.pool.zeroed(n_segments, c);
         let mut value = self.pool.uninit(n, c);
         {
-            let input = &self.nodes[a.0].value;
+            let input = value_of(&self.nodes, a);
             let seg = plan.segment_of_row();
             segment::segment_max_into(input, plan, &mut seg_max);
             // The exponentiation and division passes are per-row independent;
@@ -637,7 +689,7 @@ impl Graph {
         assert_eq!(self.shape(b), (n, c), "rows_dot shape mismatch");
         let mut value = self.pool.uninit(n, 1);
         {
-            let (ma, mb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+            let (ma, mb) = (value_of(&self.nodes, a), value_of(&self.nodes, b));
             kernel::par_row_chunks(value.data_mut(), 1, row_grain(c), |r0, chunk| {
                 for (dr, out) in chunk.iter_mut().enumerate() {
                     *out = ma.row_dot(r0 + dr, mb, r0 + dr);
@@ -656,7 +708,7 @@ impl Graph {
         assert_eq!(self.shape(b), (n, d), "rows_circ_corr shape mismatch");
         let mut value = self.pool.uninit(n, d);
         if d > 0 {
-            let (ma, mb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+            let (ma, mb) = (value_of(&self.nodes, a), value_of(&self.nodes, b));
             kernel::par_row_chunks(value.data_mut(), d, row_grain(d * d), |r0, chunk| {
                 for (dr, out) in chunk.chunks_mut(d).enumerate() {
                     let (ra, rb) = (ma.row(r0 + dr), mb.row(r0 + dr));
@@ -678,8 +730,8 @@ impl Graph {
     pub fn scale_rows(&mut self, a: Var, s: Var) -> Var {
         let (n, _) = self.shape(a);
         assert_eq!(self.shape(s), (n, 1), "scale_rows: scale must be {n}x1");
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
-        scale_rows_in_place(&mut value, &self.nodes[s.0].value);
+        let mut value = self.pool.copy_of(value_of(&self.nodes, a));
+        scale_rows_in_place(&mut value, value_of(&self.nodes, s));
         let rg = self.rg(a) || self.rg(s);
         self.push(value, Op::ScaleRows(a, s), rg)
     }
@@ -687,7 +739,7 @@ impl Graph {
     /// L2-normalises each row (rows of zeros stay zero thanks to an epsilon).
     pub fn normalize_rows(&mut self, a: Var) -> Var {
         let (_, c) = self.shape(a);
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(value_of(&self.nodes, a));
         if c > 0 {
             kernel::par_row_chunks(value.data_mut(), c, row_grain(2 * c), |_, chunk| {
                 for row in chunk.chunks_mut(c) {
@@ -704,7 +756,7 @@ impl Graph {
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(value_of(&self.nodes, a));
         kernel::par_apply(value.data_mut(), |v| *v = v.max(0.0));
         let rg = self.rg(a);
         self.push(value, Op::Relu(a), rg)
@@ -712,7 +764,7 @@ impl Graph {
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(value_of(&self.nodes, a));
         kernel::par_apply(value.data_mut(), |v| {
             if *v < 0.0 {
                 *v *= slope;
@@ -724,7 +776,7 @@ impl Graph {
 
     /// Exponential linear unit (α = 1).
     pub fn elu(&mut self, a: Var) -> Var {
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(value_of(&self.nodes, a));
         kernel::par_apply(value.data_mut(), |v| {
             if *v < 0.0 {
                 *v = v.exp() - 1.0;
@@ -736,7 +788,7 @@ impl Graph {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(value_of(&self.nodes, a));
         kernel::par_apply(value.data_mut(), |v| *v = stable_sigmoid(*v));
         let rg = self.rg(a);
         self.push(value, Op::Sigmoid(a), rg)
@@ -744,7 +796,7 @@ impl Graph {
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let mut value = self.pool.copy_of(&self.nodes[a.0].value);
+        let mut value = self.pool.copy_of(value_of(&self.nodes, a));
         kernel::par_apply(value.data_mut(), |v| *v = v.tanh());
         let rg = self.rg(a);
         self.push(value, Op::Tanh(a), rg)
@@ -752,7 +804,7 @@ impl Graph {
 
     /// Sum of all elements → `1×1`.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let s = self.nodes[a.0].value.sum();
+        let s = value_of(&self.nodes, a).sum();
         let mut value = self.pool.uninit(1, 1);
         value.data_mut()[0] = s;
         let rg = self.rg(a);
@@ -761,7 +813,7 @@ impl Graph {
 
     /// Mean of all elements → `1×1`.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let m = self.nodes[a.0].value.mean();
+        let m = value_of(&self.nodes, a).mean();
         let mut value = self.pool.uninit(1, 1);
         value.data_mut()[0] = m;
         let rg = self.rg(a);
@@ -783,8 +835,9 @@ impl Graph {
         assert_eq!(c, 1, "bce_with_logits expects n×1 logits");
         assert_eq!(targets.len(), n, "bce_with_logits target length mismatch");
         let mut total = 0.0f64;
+        let xs = value_of(&self.nodes, logits);
         for (r, &y) in targets.iter().enumerate() {
-            let x = self.nodes[logits.0].value[(r, 0)];
+            let x = xs[(r, 0)];
             // max(x,0) - x*y + ln(1 + exp(-|x|))
             total += (x.max(0.0) - x * y + (-x.abs()).exp().ln_1p()) as f64;
         }
@@ -853,6 +906,7 @@ impl Graph {
     /// Fresh (recycled) gradient-slot vector plus the pool, detached for a
     /// backward walk.
     fn grad_slots(&mut self) -> (Vec<Option<Matrix>>, BufferPool) {
+        assert!(!self.inference, "backward on an inference graph");
         let mut grads = std::mem::take(&mut self.spare_grads);
         grads.clear();
         grads.resize_with(self.nodes.len(), || None);
@@ -1034,7 +1088,7 @@ impl Graph {
             Op::SliceCols(a, start) => {
                 if self.rg(*a) {
                     let (rows, cols) = self.shape(*a);
-                    let width = node.value.cols();
+                    let width = self.value(Var(idx)).cols();
                     let mut da = pool.zeroed(rows, cols);
                     for r in 0..rows {
                         da.row_mut(r)[*start..*start + width].copy_from_slice(g.row(r));
@@ -1078,7 +1132,7 @@ impl Graph {
             Op::SegmentSoftmax { input, plan } => {
                 if self.rg(*input) {
                     // dx = y ⊙ (g - Σ_seg g ⊙ y)
-                    let y = &node.value;
+                    let y = self.value(Var(idx));
                     let (n, c) = y.shape();
                     let mut seg_dot = pool.zeroed(plan.n_segments(), c);
                     segment::segment_dot_into(g, y, plan, &mut seg_dot);
@@ -1178,7 +1232,7 @@ impl Graph {
                 if self.rg(*a) {
                     // y = x / ‖x‖; dx = (g - y (y·g)) / ‖x‖
                     let x = self.value(*a);
-                    let y = &node.value;
+                    let y = self.value(Var(idx));
                     let (n, c) = x.shape();
                     let mut da = pool.zeroed(n, c);
                     if c > 0 {
@@ -1229,7 +1283,7 @@ impl Graph {
             Op::Elu(a) => {
                 if self.rg(*a) {
                     // y = eˣ - 1 for x < 0, so dy/dx = y + 1.
-                    let y = &node.value;
+                    let y = self.value(Var(idx));
                     let x = self.value(*a);
                     let mut da = pool.copy_of(g);
                     kernel::par_zip2_apply(da.data_mut(), x.data(), y.data(), |d, v, yy| {
@@ -1242,7 +1296,7 @@ impl Graph {
             }
             Op::Sigmoid(a) => {
                 if self.rg(*a) {
-                    let y = &node.value;
+                    let y = self.value(Var(idx));
                     let mut da = pool.copy_of(g);
                     kernel::par_zip_apply(da.data_mut(), y.data(), |d, yy| {
                         *d *= yy * (1.0 - yy);
@@ -1252,7 +1306,7 @@ impl Graph {
             }
             Op::Tanh(a) => {
                 if self.rg(*a) {
-                    let y = &node.value;
+                    let y = self.value(Var(idx));
                     let mut da = pool.copy_of(g);
                     kernel::par_zip_apply(da.data_mut(), y.data(), |d, yy| {
                         *d *= 1.0 - yy * yy;
@@ -1529,6 +1583,75 @@ mod tests {
         assert_eq!(g1.value(s1).data(), g2.value(s2).data());
         assert_eq!(g1.value(sm1).data(), g2.value(sm2).data());
         assert_eq!(g1.value(gr1).data(), g2.value(gr2).data());
+    }
+
+    /// `x → relu(x·w) → sum`, with a release scope around the hidden
+    /// layer; returns the graph, `x`, `w`, the scope's output and the loss.
+    fn scoped_chain(mut g: Graph) -> (Graph, Var, Var, Var, Var) {
+        let x = g.leaf(Matrix::from_fn(3, 2, |r, c| r as f32 - c as f32 * 0.5));
+        let w = g.leaf(Matrix::from_fn(2, 2, |r, c| 0.25 + r as f32 - c as f32));
+        let mark = g.len();
+        let xw = g.matmul(x, w);
+        let hidden = g.relu(xw);
+        g.release_since(mark, &[hidden]);
+        let loss = g.sum_all(hidden);
+        (g, x, w, hidden, loss)
+    }
+
+    #[test]
+    fn release_since_on_a_training_graph_changes_no_gradient_bit() {
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (mut scoped, x, w, _, loss) = scoped_chain(Graph::new());
+        let grads = scoped.backward(loss);
+
+        let mut plain = Graph::new();
+        let x2 = plain.leaf(scoped.value(x).clone());
+        let w2 = plain.leaf(scoped.value(w).clone());
+        let xw2 = plain.matmul(x2, w2);
+        let hidden2 = plain.relu(xw2);
+        let loss2 = plain.sum_all(hidden2);
+        let grads2 = plain.backward(loss2);
+
+        assert_eq!(bits(grads.get(x).unwrap()), bits(grads2.get(x2).unwrap()));
+        assert_eq!(bits(grads.get(w).unwrap()), bits(grads2.get(w2).unwrap()));
+    }
+
+    #[test]
+    fn inference_graph_keeps_what_it_is_told_to() {
+        let (g, x, _, hidden, loss) = scoped_chain(Graph::inference());
+        let (t, _, _, t_hidden, t_loss) = scoped_chain(Graph::new());
+        assert_eq!(g.value(x).data(), t.value(x).data());
+        assert_eq!(g.value(hidden).data(), t.value(t_hidden).data());
+        assert_eq!(g.value(loss).data(), t.value(t_loss).data());
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 was read after release_since")]
+    fn reading_a_released_value_panics() {
+        let (g, ..) = scoped_chain(Graph::inference());
+        // Node 2 is `x·w`, inside the released scope.
+        g.value(Var(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 was read after release_since")]
+    fn a_released_op_input_panics() {
+        let (mut g, ..) = scoped_chain(Graph::inference());
+        g.relu(Var(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward on an inference graph")]
+    fn backward_on_an_inference_graph_panics() {
+        let (mut g, _, _, _, loss) = scoped_chain(Graph::inference());
+        g.backward(loss);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward on an inference graph")]
+    fn seeded_backward_on_an_inference_graph_panics() {
+        let (mut g, _, _, hidden, _) = scoped_chain(Graph::inference());
+        g.backward_seeded(vec![(hidden, Matrix::ones(3, 2))]);
     }
 
     #[test]

@@ -21,6 +21,11 @@
 //!   serial code path with their references, so their measured ratio is
 //!   pure noise around 1.0 — anything under 0.8x means the threshold
 //!   dispatch itself regressed.
+//! * `embed_memory.ratio` — peak heap bytes `embed` adds on the quick city
+//!   over those of a training-tape forward on the same inputs — must be at
+//!   most 0.5, and the record must be present: the inference graph has to
+//!   keep freeing dead intermediates (about 0.22 when it does, about 1.0
+//!   when it keeps the whole tape).
 //!
 //! `topk_scaling` (from `topk_scaling`, written to `BENCH_topk.json`):
 //!
@@ -122,7 +127,22 @@ fn check_kernels(root: &json::Value, failures: &mut Vec<String>) -> String {
             }
         }
     }
-    format!("speedup_vs_fresh {vs_fresh:.3} at {threads} threads, {hw} hw threads")
+    let memory = match fetch(root, &["embed_memory", "ratio"]).and_then(json::Value::as_f64) {
+        Some(ratio) => {
+            if ratio > 0.5 {
+                failures.push(format!(
+                    "embed_memory ratio {ratio:.3} > 0.5: embed's peak heap is no longer well \
+                     below a training-tape forward's"
+                ));
+            }
+            format!("embed memory ratio {ratio:.3}")
+        }
+        None => {
+            failures.push("embed_memory.ratio missing: rerun the micro_kernels bench".to_string());
+            "embed memory ratio missing".to_string()
+        }
+    };
+    format!("speedup_vs_fresh {vs_fresh:.3} at {threads} threads, {hw} hw threads; {memory}")
 }
 
 fn check_topk(root: &json::Value, failures: &mut Vec<String>) -> String {
