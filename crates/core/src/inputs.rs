@@ -37,6 +37,13 @@ pub struct GraphPlans {
     pub edge_rel: Arc<SegmentPlan>,
     /// Directed-edge relation gather from an `R+1`-row table (with φ).
     pub edge_rel_all: Arc<SegmentPlan>,
+    /// Source-POI gather of each distinct `(source, relation)` message key
+    /// of the directed edges. Keys ascend by source, then relation.
+    pub key_src: Arc<SegmentPlan>,
+    /// Relation gather of each message key from an `R+1`-row table.
+    pub key_rel: Arc<SegmentPlan>,
+    /// Directed-edge gather of the edge's message key from a per-key table.
+    pub edge_key: Arc<SegmentPlan>,
     /// Intra-relation `(dst, rel)` segments of the directed edges.
     pub intra: Arc<SegmentPlan>,
     /// `(dst, rel)` segment → destination POI aggregation.
@@ -65,14 +72,39 @@ impl GraphPlans {
         spatial: &SpatialNeighbors,
     ) -> Self {
         let as_usize = |v: &[u32]| v.iter().map(|&x| x as usize).collect::<Vec<_>>();
+        let (src, rel) = (adjacency.src_usize(), adjacency.rel_usize());
+        // An edge's WRGNN message γ(h*_j, h_r)·W depends only on its
+        // (source j, relation r) pair, so the forward computes one message
+        // row per distinct pair and each edge reads its pair's row.
+        // Keys are numbered in ascending `source · R + relation` order
+        // through a dense slot per possible pair.
+        const UNUSED: usize = usize::MAX;
+        let code = |e: usize| src[e] * n_relations + rel[e];
+        let mut slot = vec![UNUSED; n_pois * n_relations];
+        for e in 0..src.len() {
+            slot[code(e)] = 0;
+        }
+        let (mut key_src, mut key_rel) = (Vec::new(), Vec::new());
+        for (c, s) in slot.iter_mut().enumerate() {
+            if *s != UNUSED {
+                *s = key_src.len();
+                key_src.push(c / n_relations);
+                key_rel.push(c % n_relations);
+            }
+        }
+        let n_keys = key_src.len();
+        let edge_key: Vec<usize> = (0..src.len()).map(|e| slot[code(e)]).collect();
         GraphPlans {
             cat_path_gather: Arc::new(SegmentPlan::new(cat_path_nodes.to_vec(), n_taxonomy_nodes)),
             cat_path_segment: Arc::new(SegmentPlan::new(cat_path_segment.to_vec(), n_pois)),
             leaf_gather: Arc::new(SegmentPlan::new(leaf_category.to_vec(), n_categories)),
-            edge_src: Arc::new(SegmentPlan::new(adjacency.src_usize(), n_pois)),
             edge_dst: Arc::new(SegmentPlan::new(adjacency.dst_usize(), n_pois)),
-            edge_rel: Arc::new(SegmentPlan::new(adjacency.rel_usize(), n_relations)),
-            edge_rel_all: Arc::new(SegmentPlan::new(adjacency.rel_usize(), n_relations + 1)),
+            edge_rel: Arc::new(SegmentPlan::new(rel.clone(), n_relations)),
+            edge_rel_all: Arc::new(SegmentPlan::new(rel, n_relations + 1)),
+            key_src: Arc::new(SegmentPlan::new(key_src, n_pois)),
+            key_rel: Arc::new(SegmentPlan::new(key_rel, n_relations + 1)),
+            edge_key: Arc::new(SegmentPlan::new(edge_key, n_keys)),
+            edge_src: Arc::new(SegmentPlan::new(src, n_pois)),
             intra: Arc::new(SegmentPlan::new(
                 adjacency.intra_segment().to_vec(),
                 adjacency.num_segments(),
@@ -123,11 +155,6 @@ pub struct ModelInputs {
     /// id order (the ordinary case); `Some` marks a subset build, where
     /// local row `i` reads global row `node_rows[i]` of `node_emb`.
     pub node_rows: Option<Arc<SegmentPlan>>,
-    /// Set on subset builds when the full graph's forward would run the
-    /// spatial stage but the subset has no spatial edges: the forward adds
-    /// this zero matrix as the context so the op sequence (and therefore
-    /// the bitwise result) matches the full pass row for row.
-    pub spatial_forced_zero: Option<Matrix>,
     /// Pairwise distance lookup for scoring: distances are recomputed from
     /// locations on demand, so we keep the locations here.
     locations: Vec<prim_geo::Location>,
@@ -148,11 +175,6 @@ pub struct SubsetInputs {
     pub targets: Vec<u32>,
     /// Local row index of each target (parallel to `targets`).
     pub target_rows: Vec<usize>,
-    /// Number of spatial sources each target attends over in the mutated
-    /// city (parallel to `targets`). Ingest layers fold these into their
-    /// running spatial-edge total so the next batch can tell whether the
-    /// *full* graph still has any spatial edge without rebuilding it.
-    pub spatial_target_deg: Vec<u32>,
 }
 
 impl ModelInputs {
@@ -181,7 +203,7 @@ impl ModelInputs {
                 .collect();
             spatial = spatial.retain_pois(&keep);
         }
-        Self::assemble(graph, taxonomy, attrs, train_edges, spatial, None, None)
+        Self::assemble(graph, taxonomy, attrs, train_edges, spatial, None)
     }
 
     /// Like [`ModelInputs::build`] (inference form, no visibility mask) but
@@ -208,7 +230,7 @@ impl ModelInputs {
             cfg.rbf_theta,
             cfg.max_spatial_neighbors,
         );
-        Self::assemble(graph, taxonomy, attrs, train_edges, spatial, None, None)
+        Self::assemble(graph, taxonomy, attrs, train_edges, spatial, None)
     }
 
     /// Shared assembly over a ready spatial-neighbour structure.
@@ -219,7 +241,6 @@ impl ModelInputs {
         train_edges: &[Edge],
         spatial: SpatialNeighbors,
         node_rows: Option<Arc<SegmentPlan>>,
-        spatial_forced_zero: Option<Matrix>,
     ) -> Self {
         assert_eq!(
             attrs.rows(),
@@ -279,7 +300,6 @@ impl ModelInputs {
             spatial_rbf,
             plans,
             node_rows,
-            spatial_forced_zero,
             locations: graph.pois().iter().map(|p| p.location).collect(),
         }
     }
@@ -298,17 +318,13 @@ impl ModelInputs {
     /// the segment grouping of the spatial lists — so each op's per-row
     /// accumulation order, and therefore its bits, match the full pass.
     ///
-    /// `grid` is the city's frozen-projection spatial grid over all POIs;
-    /// `spatial_active` states whether the *full* graph currently has any
-    /// spatial edge (it gates the zero-context stand-in described on
-    /// [`ModelInputs::spatial_forced_zero`]).
+    /// `grid` is the city's frozen-projection spatial grid over all POIs.
     pub fn build_subset(
         graph: &HeteroGraph,
         taxonomy: &Taxonomy,
         attrs: &Matrix,
         grid: &GridIndex,
         targets: &[u32],
-        spatial_active: bool,
         cfg: &PrimConfig,
     ) -> SubsetInputs {
         assert!(
@@ -328,14 +344,6 @@ impl ModelInputs {
             cfg.rbf_theta,
             cfg.max_spatial_neighbors,
         );
-
-        let mut spatial_target_deg = vec![0u32; targets.len()];
-        for &d in sp_targets.dst() {
-            let pos = targets
-                .binary_search(&d)
-                .expect("spatial dst must be a target");
-            spatial_target_deg[pos] += 1;
-        }
 
         let mut in_support = vec![false; n_global];
         let mut frontier: Vec<u32> = Vec::new();
@@ -394,11 +402,6 @@ impl ModelInputs {
         let support_usize: Vec<usize> = support.iter().map(|&g| g as usize).collect();
         let attrs_local = attrs.gather_rows(&support_usize);
         let spatial_local = sp_targets.relabeled(&map);
-        let forced_zero = if spatial_active && spatial_local.is_empty() {
-            Some(Matrix::zeros(support.len(), cfg.dim))
-        } else {
-            None
-        };
         let node_rows = Arc::new(SegmentPlan::new(support_usize, n_global));
 
         let inputs = Self::assemble(
@@ -408,7 +411,6 @@ impl ModelInputs {
             &local_edges,
             spatial_local,
             Some(node_rows),
-            forced_zero,
         );
         let target_rows: Vec<usize> = targets.iter().map(|&t| map[t as usize] as usize).collect();
         SubsetInputs {
@@ -416,7 +418,6 @@ impl ModelInputs {
             support,
             targets: targets.to_vec(),
             target_rows,
-            spatial_target_deg,
         }
     }
 

@@ -19,6 +19,27 @@
 //! * **Distance-specific scoring** (§4.5, Eq. 11–12): hyperplane projection
 //!   per distance bin followed by DistMult scoring; the non-relation type φ
 //!   owns an extra relation embedding row and competes in the argmax.
+//!
+//! ## No per-edge rows
+//!
+//! [`PrimModel::forward`] never stores a dim-wide row per edge. Two facts
+//! make that possible without changing a bit of the result:
+//!
+//! * An edge's message `γ(h*_j, h_r)·W` (Eq. 1, 5) depends only on its
+//!   `(source j, relation r)` key. The pass computes one message row per
+//!   distinct key (at most `N·R` rows instead of `E`), and each edge reads
+//!   its key's row. Every row still goes through the same float operations.
+//! * The per-edge reads are fused into two tape ops of `prim-tensor`.
+//!   `gathered_rows_dot` computes each attention logit as a dot of
+//!   gathered row windows (`W_a h*_i`, `W_a h*_j`, `W_d d_ij`) with the
+//!   relation's `a_r` row. `gather_scale_segment_sum` scales each edge's
+//!   message row by its attention weight and sums it into its `(dst, rel)`
+//!   segment, then the segments into the POI. The spatial extractor uses
+//!   the same two ops for its query·key logits and value sums. Each op
+//!   accumulates in exactly the order the unfused op chain did.
+//!
+//! What stays edge-wide is narrow: the projected distance features and the
+//! `n × 1` logit and attention columns.
 
 use crate::config::{GammaOp, PrimConfig, TaxonomyMode};
 use crate::inputs::ModelInputs;
@@ -26,7 +47,7 @@ use prim_graph::PoiId;
 use prim_nn::{init, Binding, ParamId, ParamStore};
 use prim_tensor::kernel;
 use prim_tensor::{pool, segment, stable_sigmoid};
-use prim_tensor::{Graph, Matrix, SegmentPlan, Var};
+use prim_tensor::{Graph, Matrix, RowWindow, SegmentPlan, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -304,26 +325,27 @@ impl PrimModel {
             let h_star = g.concat_cols(&[h, q]);
             let mut head_outs = Vec::with_capacity(layer.heads.len());
             if has_edges {
-                // Relation-specific messages γ(h*_j, h_r) (Eq. 1) do not
-                // depend on the head, so compute them once per layer, and
-                // project them for all heads at once (columns of a product
-                // are independent, so each head's slice is identical to its
-                // standalone matmul).
+                // The message γ(h*_j, h_r)·W (Eq. 1, 5) of an edge depends
+                // only on its (source j, relation r) key, and not on the
+                // head: compute it once per distinct key for all heads at
+                // once (columns of a product are independent, so each
+                // head's window equals its standalone matmul, and each
+                // key's row equals the row of every edge with that key).
                 let msg_mark = g.len();
-                let h_src = g.gather_rows_planned(h_star, &plans.edge_src);
-                let hr_edge = g.gather_rows_planned(hr, &plans.edge_rel_all);
+                let h_src = g.gather_rows_planned(h_star, &plans.key_src);
+                let hr_key = g.gather_rows_planned(hr, &plans.key_rel);
                 let msg = match self.cfg.gamma {
-                    GammaOp::Multiply => g.mul(h_src, hr_edge),
-                    GammaOp::Subtract => g.sub(h_src, hr_edge),
-                    GammaOp::CircularCorrelation => g.rows_circ_corr(h_src, hr_edge),
+                    GammaOp::Multiply => g.mul(h_src, hr_key),
+                    GammaOp::Subtract => g.sub(h_src, hr_key),
+                    GammaOp::CircularCorrelation => g.rows_circ_corr(h_src, hr_key),
                 };
                 let w_msg_all: Vec<Var> = layer.heads.iter().map(|hd| bind.var(hd.w_msg)).collect();
                 let w_msg_cat = g.concat_cols(&w_msg_all);
                 let msg_p_all = g.matmul(msg, w_msg_cat);
                 g.release_since(msg_mark, &[msg_p_all]);
 
-                // Batch the attention projections the same way, then gather
-                // edge rows once for all heads.
+                // Batch the attention projections the same way; the fused
+                // edge ops read each head's window of them per edge.
                 let w_att_all: Vec<Var> = layer.heads.iter().map(|hd| bind.var(hd.w_att)).collect();
                 let w_dist_all: Vec<Var> =
                     layer.heads.iter().map(|hd| bind.var(hd.w_dist)).collect();
@@ -331,27 +353,29 @@ impl PrimModel {
                 let w_dist_cat = g.concat_cols(&w_dist_all);
                 let ha_all = g.matmul(h_star, w_att_cat);
                 let dproj_all = g.matmul(dist_feats, w_dist_cat);
-                let ha_dst_all = g.gather_rows_planned(ha_all, &plans.edge_dst);
-                let ha_src_all = g.gather_rows_planned(ha_all, &plans.edge_src);
 
                 for (k, head) in layer.heads.iter().enumerate() {
                     let head_mark = g.len();
-                    // Spatial-aware attention (Eq. 3-4).
-                    let ha_dst = g.slice_cols(ha_dst_all, k * head_dim, head_dim);
-                    let ha_src = g.slice_cols(ha_src_all, k * head_dim, head_dim);
-                    let dproj = g.slice_cols(dproj_all, k * dist_dim, dist_dim);
-                    let feats = g.concat_cols(&[ha_dst, ha_src, dproj]);
-                    let a_edge = g.gather_rows_planned(bind.var(head.att_table), &plans.edge_rel);
-                    let raw = g.rows_dot(feats, a_edge);
+                    // Spatial-aware attention (Eq. 3-4): the logit of edge
+                    // j → i is `a_r · [W_a h*_i ‖ W_a h*_j ‖ W_d d_ij]`.
+                    let att = bind.var(head.att_table);
+                    let att_in = g.shape(att).1;
+                    let raw = g.gathered_rows_dot(
+                        &[
+                            RowWindow::gathered(ha_all, k * head_dim, head_dim, &plans.edge_dst),
+                            RowWindow::gathered(ha_all, k * head_dim, head_dim, &plans.edge_src),
+                            RowWindow::direct(dproj_all, k * dist_dim, dist_dim),
+                        ],
+                        &RowWindow::gathered(att, 0, att_in, &plans.edge_rel),
+                    );
                     let logits = g.leaky_relu(raw, 0.2);
                     let alpha = g.segment_softmax_planned(logits, &plans.intra);
-
-                    let msg_p = g.slice_cols(msg_p_all, k * head_dim, head_dim);
-                    let weighted = g.scale_rows(msg_p, alpha);
-                    // Intra-relation aggregation …
-                    let seg_agg = g.segment_sum_planned(weighted, &plans.intra);
-                    // … then inter-relation aggregation into each POI.
-                    let node_agg = g.segment_sum_planned(seg_agg, &plans.seg_dst);
+                    // Intra-relation aggregation of the weighted messages,
+                    // then inter-relation aggregation into each POI (Eq. 5).
+                    let msg_p =
+                        RowWindow::gathered(msg_p_all, k * head_dim, head_dim, &plans.edge_key);
+                    let node_agg =
+                        g.gather_scale_segment_sum(&msg_p, alpha, &plans.intra, &plans.seg_dst);
                     g.release_since(head_mark, &[node_agg]);
                     head_outs.push(node_agg);
                 }
@@ -368,40 +392,28 @@ impl PrimModel {
             g.release_since(layer_mark, &[h, hr]);
         }
 
-        // Self-attentive spatial context (Eq. 6-10).
-        if self.cfg.use_spatial_context && !inputs.spatial.is_empty() {
+        // Self-attentive spatial context (Eq. 6-10). POIs without spatial
+        // neighbours get an exact-zero context row.
+        if self.cfg.use_spatial_context {
             let ctx_mark = g.len();
             // One fused projection for queries/keys/values instead of three
-            // passes over `h`; each slice equals its standalone matmul.
+            // passes over `h`; the edge ops read each one's column window.
             let dim = self.cfg.dim;
             let w_qkv =
                 g.concat_cols(&[bind.var(self.w_q), bind.var(self.w_k), bind.var(self.w_v)]);
             let qkv = g.matmul(h, w_qkv);
-            let qm = g.slice_cols(qkv, 0, dim);
-            let km = g.slice_cols(qkv, dim, dim);
-            let vm = g.slice_cols(qkv, 2 * dim, dim);
-            let q_dst = g.gather_rows_planned(qm, &plans.sp_dst);
-            let k_src = g.gather_rows_planned(km, &plans.sp_src);
-            let dots = g.rows_dot(q_dst, k_src);
+            let dots = g.gathered_rows_dot(
+                &[RowWindow::gathered(qkv, 0, dim, &plans.sp_dst)],
+                &RowWindow::gathered(qkv, dim, dim, &plans.sp_src),
+            );
             let scaled = g.scale(dots, 1.0 / (self.cfg.dim as f32).sqrt());
             let rbf = g.constant_ref(&inputs.spatial_rbf);
             let weighted_logits = g.mul(scaled, rbf);
             let beta = g.segment_softmax_planned(weighted_logits, &plans.sp_seg);
-            let v_src = g.gather_rows_planned(vm, &plans.sp_src);
-            let ctx_edges = g.scale_rows(v_src, beta);
-            let ctx_seg = g.segment_sum_planned(ctx_edges, &plans.sp_seg);
-            let ctx = g.segment_sum_planned(ctx_seg, &plans.sp_seg_dst);
+            let v_src = RowWindow::gathered(qkv, 2 * dim, dim, &plans.sp_src);
+            let ctx = g.gather_scale_segment_sum(&v_src, beta, &plans.sp_seg, &plans.sp_seg_dst);
             h = g.add(h, ctx);
             g.release_since(ctx_mark, &[h]);
-        } else if self.cfg.use_spatial_context {
-            if let Some(zero_ctx) = &inputs.spatial_forced_zero {
-                // Subset with no spatial edges while the full graph has
-                // some: the full pass adds an exact-zero context row to
-                // every POI outside the spatial segments, so mirror the op
-                // to keep the bit pattern identical.
-                let ctx = g.constant_ref(zero_ctx);
-                h = g.add(h, ctx);
-            }
         }
 
         let rel_score = g.matmul(hr, bind.var(self.w_rel_score));

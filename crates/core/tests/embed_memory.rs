@@ -3,9 +3,15 @@
 //! A training tape keeps every forward intermediate alive until it is
 //! dropped; `embed` runs the same forward on an inference graph that frees
 //! each scope's intermediates as the scope ends. This binary installs a
-//! global allocator that tracks live and peak heap bytes, and checks that
-//! the peak added during `embed` on a seeded 2k-POI city stays at most
-//! 0.4× the peak added by a training-tape forward over the same inputs.
+//! global allocator that tracks live and peak heap bytes, and checks on a
+//! seeded 2k-POI city (36.8k directed edges) that:
+//!
+//! * the peak added during `embed` stays at most 0.4× the peak added by a
+//!   training-tape forward over the same inputs;
+//! * `embed` adds at most 8 MB and the tape forward at most 40 MB. The
+//!   fused edge ops keep no dim-wide row per edge; one such row per edge
+//!   and layer costs several MB here, so an edge-wide intermediate coming
+//!   back fails these bounds.
 //!
 //! The file holds a single test so no other test allocates concurrently.
 
@@ -114,5 +120,14 @@ fn embed_peaks_well_below_a_training_tape_forward() {
         ratio <= 0.4,
         "embed peaked at {inference} bytes, {ratio:.3}× the {tape}-byte training-tape forward \
          (limit 0.4×)"
+    );
+    assert!(
+        inference <= 8_000_000,
+        "embed added {inference} bytes at peak (limit 8 MB): an edge-wide intermediate is back"
+    );
+    assert!(
+        tape <= 40_000_000,
+        "a training-tape forward added {tape} bytes at peak (limit 40 MB): an edge-wide \
+         intermediate is back"
     );
 }

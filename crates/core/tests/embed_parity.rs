@@ -5,8 +5,8 @@
 //! Every configuration the forward branches on is covered: each γ operator,
 //! the spatial context stage on and off, the per-POI embedding table on and
 //! off, and subset inputs (a relabeled support set reading `node_rows`, and
-//! an isolated target that takes the `spatial_forced_zero` stand-in) — each
-//! at 1 and 4 pool threads.
+//! an isolated target whose subset has no spatial edges at all) — each at
+//! 1 and 4 pool threads.
 
 use prim_core::{GammaOp, ModelInputs, PrimConfig, PrimModel};
 use prim_data::{Dataset, Scale};
@@ -138,15 +138,8 @@ fn subset_inputs_match_the_tape() {
         let model = PrimModel::new(cfg.clone(), &inputs);
         let locations: Vec<Location> = ds.graph.pois().iter().map(|p| p.location).collect();
         let grid = GridIndex::build(&locations, cfg.spatial_radius_km.max(1e-6));
-        let sub = ModelInputs::build_subset(
-            &ds.graph,
-            &ds.taxonomy,
-            &ds.attrs,
-            &grid,
-            &[0, 2, 9],
-            true,
-            &cfg,
-        );
+        let sub =
+            ModelInputs::build_subset(&ds.graph, &ds.taxonomy, &ds.attrs, &grid, &[0, 2, 9], &cfg);
         assert!(sub.inputs.node_rows.is_some());
         assert!(!sub.inputs.spatial.is_empty());
         assert!(sub.inputs.n_pois < ds.graph.num_pois());
@@ -166,7 +159,7 @@ fn isolated_subset_with_forced_zero_context_matches_the_tape() {
     let mut model = PrimModel::new(cfg.clone(), &inputs);
 
     // A POI far outside the city: no relation edges and no spatial
-    // neighbours, so its subset takes the zero-context stand-in.
+    // neighbours, so its subset has no spatial edges and gets a zero context.
     let mut graph = ds.graph.clone();
     let anchor = graph.poi(PoiId(0)).location;
     let far = Poi {
@@ -180,8 +173,8 @@ fn isolated_subset_with_forced_zero_context_matches_the_tape() {
     let locations: Vec<Location> = graph.pois().iter().map(|p| p.location).collect();
     let grid = GridIndex::build(&locations, cfg.spatial_radius_km.max(1e-6));
 
-    let sub = ModelInputs::build_subset(&graph, &ds.taxonomy, &attrs, &grid, &[far_id], true, &cfg);
-    assert!(sub.inputs.spatial_forced_zero.is_some());
+    let sub = ModelInputs::build_subset(&graph, &ds.taxonomy, &attrs, &grid, &[far_id], &cfg);
+    assert!(sub.inputs.spatial.is_empty());
     assert_eq!(sub.inputs.adjacency.num_directed_edges(), 0);
     assert_embed_matches_tape(&model, &sub.inputs, "forced-zero subset");
 }

@@ -97,23 +97,7 @@ fn oracle(m: &Mutated) -> prim_core::EmbeddingTable {
 }
 
 fn subset_for(m: &Mutated, targets: &[u32]) -> SubsetInputs {
-    let full = ModelInputs::build_with_grid(
-        &m.graph,
-        &m.taxonomy,
-        &m.attrs,
-        m.graph.edges(),
-        &m.grid,
-        &m.cfg,
-    );
-    ModelInputs::build_subset(
-        &m.graph,
-        &m.taxonomy,
-        &m.attrs,
-        &m.grid,
-        targets,
-        !full.spatial.is_empty(),
-        &m.cfg,
-    )
+    ModelInputs::build_subset(&m.graph, &m.taxonomy, &m.attrs, &m.grid, targets, &m.cfg)
 }
 
 fn assert_rows_bitwise(m: &Mutated, targets: &[u32]) {

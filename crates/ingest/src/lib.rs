@@ -223,11 +223,6 @@ struct Inner {
     /// in lockstep and cloned into every published store.
     serve_grid: GridIndex,
     locations: Vec<Location>,
-    /// Per-POI spatial in-degree plus its total, maintained across
-    /// batches so `spatial_active` (does the *full* graph have any
-    /// spatial edge?) never needs a full spatial rebuild.
-    spatial_deg: Vec<u32>,
-    spatial_total: u64,
     retired: Vec<bool>,
     wal: MutationWal,
     staged: Vec<Mutation>,
@@ -463,11 +458,6 @@ impl CityIngest {
                 retired[p as usize] = true;
             }
         }
-        let mut spatial_deg = vec![0u32; locations.len()];
-        for &d in inputs.spatial.dst() {
-            spatial_deg[d as usize] += 1;
-        }
-        let spatial_total = inputs.spatial.num_edges() as u64;
         let mut wal = MutationWal::open(io.clone(), wal_dir).map_err(IngestError::Wal)?;
         wal.set_segment_bytes(opts.wal_segment_bytes);
         // Finish any compaction a crash interrupted (and drop segments a
@@ -508,8 +498,6 @@ impl CityIngest {
             spatial_grid,
             serve_grid,
             locations,
-            spatial_deg,
-            spatial_total,
             retired,
             wal,
             staged: Vec::new(),
@@ -742,7 +730,6 @@ impl CityIngest {
                     let gi = inner.spatial_grid.insert(*location);
                     debug_assert_eq!(gi, id.0 as usize);
                     inner.serve_grid.insert(*location);
-                    inner.spatial_deg.push(0);
                     inner.retired.push(false);
                     changed.insert(id.0);
                     for (nb, _) in inner.spatial_grid.within_radius(id.0 as usize, radius) {
@@ -824,15 +811,7 @@ impl CityIngest {
         }
         let tvec: Vec<u32> = targets.into_iter().collect();
 
-        // Phase 3 — embed the affected set. `spatial_active` is exact:
-        // every spatial list that changed has its dst inside `tvec`, so
-        // edges with dst outside are carried over unchanged from the
-        // running total.
-        let outside: u64 = inner.spatial_total
-            - tvec
-                .iter()
-                .map(|&f| inner.spatial_deg[f as usize] as u64)
-                .sum::<u64>();
+        // Phase 3 — embed the affected set.
         let extra = n - inner.model.n_poi_rows();
         if extra > 0 {
             inner.model.extend_pois(extra);
@@ -843,19 +822,9 @@ impl CityIngest {
             &inner.attrs,
             &inner.spatial_grid,
             &tvec,
-            outside > 0,
             &inner.cfg,
         );
         let table = inner.model.embed(&sub.inputs);
-        inner.spatial_total = outside
-            + sub
-                .spatial_target_deg
-                .iter()
-                .map(|&d| d as u64)
-                .sum::<u64>();
-        for (i, &f) in sub.targets.iter().enumerate() {
-            inner.spatial_deg[f as usize] = sub.spatial_target_deg[i];
-        }
 
         // Phase 4 — scatter into a copy of the published table and swap
         // in a fresh engine. Readers keep the old Arc until they finish.

@@ -28,6 +28,28 @@
 //! run their reductions in parallel by output segment (bitwise identical to
 //! serial — see [`crate::segment`]).
 //!
+//! ## Fused edge ops
+//!
+//! Message passing reads node tables through per-edge gathers. Taped one
+//! op at a time, that chain stores several edge-wide copies of node rows
+//! (gathered endpoints, concatenated features, scaled messages). Two fused
+//! ops read the tables in place instead. Both take their per-edge operands
+//! as [`RowWindow`]s: a column window of a value, read directly or through
+//! a gather plan.
+//!
+//! * [`Graph::gathered_rows_dot`] — edge `e`'s output is the dot product
+//!   of the concatenated left windows with the right window. It replaces
+//!   `gather → slice → concat → rows_dot`.
+//! * [`Graph::gather_scale_segment_sum`] — scales each edge's window row by
+//!   a per-edge weight and sums the rows into segments, then the segments
+//!   into output rows. It replaces
+//!   `gather → slice → scale_rows → segment_sum → segment_sum`.
+//!
+//! Each op performs the same float operations in the same order as the
+//! chain it replaces, forward and backward, so its outputs and gradients
+//! are bitwise those of the chain (the tensor crate's property tests hold
+//! the unfused chains as references).
+//!
 //! ## Inference graphs
 //!
 //! A training tape must keep every value until backward has read it. A
@@ -47,14 +69,60 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::kernel;
-use crate::matrix::Matrix;
-use crate::segment::{self, SegmentPlan};
+use crate::matrix::{dot, Matrix};
+use crate::pool;
+use crate::segment::{self, reduce_grain, SegmentPlan};
 
 /// Per-row parallel grain for an op whose rows each cost `row_work`
 /// flops-ish units: chunks are sized so a thread gets at least
 /// [`kernel::PAR_ELEM_CUTOFF`] units of work.
 fn row_grain(row_work: usize) -> usize {
     (kernel::PAR_ELEM_CUTOFF / row_work.max(1)).max(1)
+}
+
+/// A per-edge operand of the fused edge ops: the column window
+/// `[start, start + width)` of a tape value, read row by row either
+/// directly (edge `e` reads row `e`) or through a gather plan (edge `e`
+/// reads row `plan.segment_of_row()[e]`).
+#[derive(Clone, Debug)]
+pub struct RowWindow {
+    var: Var,
+    start: usize,
+    width: usize,
+    rows: Option<Arc<SegmentPlan>>,
+}
+
+impl RowWindow {
+    /// Window read through a gather plan, as `gather_rows_planned(var,
+    /// plan)` followed by `slice_cols(start, width)` would read it.
+    pub fn gathered(var: Var, start: usize, width: usize, plan: &Arc<SegmentPlan>) -> Self {
+        RowWindow {
+            var,
+            start,
+            width,
+            rows: Some(Arc::clone(plan)),
+        }
+    }
+
+    /// Window read row for row, as `slice_cols(var, start, width)` would.
+    pub fn direct(var: Var, start: usize, width: usize) -> Self {
+        RowWindow {
+            var,
+            start,
+            width,
+            rows: None,
+        }
+    }
+
+    /// The window's row for edge `e` inside `m`, the value of `self.var`.
+    #[inline]
+    fn row<'m>(&self, m: &'m Matrix, e: usize) -> &'m [f32] {
+        let r = match &self.rows {
+            Some(plan) => plan.segment_of_row()[e],
+            None => e,
+        };
+        &m.row(r)[self.start..self.start + self.width]
+    }
 }
 
 /// Handle to a node in a [`Graph`].
@@ -105,6 +173,19 @@ enum Op {
     },
     /// Row-wise dot product of two equal-shape matrices → `n×1`.
     RowsDot(Var, Var),
+    /// Per-edge `[lhs₀ ‖ lhs₁ ‖ …] · rhs` over row windows → `n×1`.
+    GatheredRowsDot {
+        lhs: Vec<RowWindow>,
+        rhs: RowWindow,
+    },
+    /// Per-edge window rows scaled by `scale` (`n×1`), summed into the
+    /// `inner` segments, then the segments into the `outer` output rows.
+    GatherScaleSegmentSum {
+        values: RowWindow,
+        scale: Var,
+        inner: Arc<SegmentPlan>,
+        outer: Arc<SegmentPlan>,
+    },
     /// Row-wise circular correlation `(a ⋆ b)_k = Σ_i a_i·b_{(k+i) mod d}`.
     RowsCircCorr(Var, Var),
     /// `a (n×c)` with row `i` scaled by `s[i]` where `s` is `n×1`.
@@ -138,6 +219,63 @@ fn value_of(nodes: &[Node], v: Var) -> &Matrix {
         .value
         .as_ref()
         .unwrap_or_else(|| panic!("node {} was read after release_since dropped it", v.0))
+}
+
+/// Writes edge `e`'s concatenated window rows `[w₀[e] ‖ w₁[e] ‖ …]` into
+/// `out`, which must be exactly as wide as the windows together.
+fn concat_windows(nodes: &[Node], windows: &[RowWindow], e: usize, out: &mut [f32]) {
+    let mut offset = 0;
+    for w in windows {
+        out[offset..offset + w.width].copy_from_slice(w.row(value_of(nodes, w.var), e));
+        offset += w.width;
+    }
+}
+
+/// Gradient of one fused-op window operand: a zeroed matrix shaped like the
+/// window's value, whose window columns receive each edge's gradient row.
+/// `fill(e, buf)` writes edge `e`'s row into `buf`.
+///
+/// A gathered window's row `i` adds the rows of the edges that read it in
+/// ascending edge order — the gather backward's scatter-add. A direct
+/// window's row `e` is edge `e`'s row, copied as the slice backward copies
+/// it. Either way each output row has one owner, so any thread count gives
+/// the same bits.
+fn window_grad(
+    pool: &mut BufferPool,
+    w: &RowWindow,
+    (rows, cols): (usize, usize),
+    fill: impl Fn(usize, &mut [f32]) + Sync,
+) -> Matrix {
+    let mut d = pool.zeroed(rows, cols);
+    let width = w.width;
+    if width == 0 || rows == 0 {
+        return d;
+    }
+    let grain = match &w.rows {
+        Some(plan) => reduce_grain(plan.len(), rows, cols),
+        None => row_grain(cols),
+    };
+    kernel::par_row_chunks(d.data_mut(), cols, grain, |r0, chunk| {
+        pool::with_scratch(|scratch| {
+            let mut buf = scratch.take(width);
+            for (dr, row) in chunk.chunks_mut(cols).enumerate() {
+                let window = &mut row[w.start..w.start + width];
+                match &w.rows {
+                    Some(plan) => {
+                        for &e in plan.rows_of(r0 + dr) {
+                            fill(e as usize, &mut buf);
+                            for (o, &x) in window.iter_mut().zip(buf.iter()) {
+                                *o += x;
+                            }
+                        }
+                    }
+                    None => fill(r0 + dr, window),
+                }
+            }
+            scratch.put(buf);
+        });
+    });
+    d
 }
 
 /// Size-keyed recycling pool of `f32` buffers.
@@ -736,6 +874,168 @@ impl Graph {
         self.push(value, Op::ScaleRows(a, s), rg)
     }
 
+    /// Checks that `w` is a valid window for an `n`-edge fused op.
+    fn check_window(&self, w: &RowWindow, n: usize, op: &str) {
+        let (rows, cols) = self.shape(w.var);
+        assert!(
+            w.start + w.width <= cols,
+            "{op}: window [{}, {}) out of range for {cols} columns",
+            w.start,
+            w.start + w.width
+        );
+        match &w.rows {
+            Some(plan) => {
+                assert_eq!(
+                    plan.n_segments(),
+                    rows,
+                    "{op}: gather plan was built for a {}-row source, matrix has {rows} rows",
+                    plan.n_segments()
+                );
+                assert_eq!(
+                    plan.len(),
+                    n,
+                    "{op}: gather plan covers {} edges, not {n}",
+                    plan.len()
+                );
+            }
+            None => assert_eq!(rows, n, "{op}: direct window has {rows} rows, not {n}"),
+        }
+    }
+
+    /// Per-edge dot product of row windows, yielding `n×1`: row `e` is
+    /// `[lhs₀[e] ‖ lhs₁[e] ‖ …] · rhs[e]`.
+    ///
+    /// Equal, bit for bit and in both directions, to gathering and slicing
+    /// each window, concatenating the left ones and taking
+    /// [`Graph::rows_dot`] with the right one; no edge-wide operand is
+    /// stored. The edge count `n` is the right window's (its plan length,
+    /// or its value's row count when direct).
+    ///
+    /// # Panics
+    /// Panics if `lhs` is empty, a window is out of range, the windows
+    /// disagree on `n`, or the left widths do not sum to the right width.
+    pub fn gathered_rows_dot(&mut self, lhs: &[RowWindow], rhs: &RowWindow) -> Var {
+        assert!(!lhs.is_empty(), "gathered_rows_dot of zero left windows");
+        let n = match &rhs.rows {
+            Some(plan) => plan.len(),
+            None => self.shape(rhs.var).0,
+        };
+        for w in lhs.iter().chain(std::iter::once(rhs)) {
+            self.check_window(w, n, "gathered_rows_dot");
+        }
+        let width = rhs.width;
+        assert_eq!(
+            lhs.iter().map(|w| w.width).sum::<usize>(),
+            width,
+            "gathered_rows_dot: left windows must span the right window's {width} columns"
+        );
+        let mut value = self.pool.uninit(n, 1);
+        if n > 0 {
+            let nodes = &self.nodes;
+            let rm = value_of(nodes, rhs.var);
+            kernel::par_row_chunks(value.data_mut(), 1, row_grain(width), |e0, chunk| {
+                pool::with_scratch(|scratch| {
+                    let mut feats = scratch.take(width);
+                    for (de, out) in chunk.iter_mut().enumerate() {
+                        let e = e0 + de;
+                        concat_windows(nodes, lhs, e, &mut feats);
+                        *out = dot(&feats, rhs.row(rm, e));
+                    }
+                    scratch.put(feats);
+                });
+            });
+        }
+        let rg = lhs.iter().any(|w| self.rg(w.var)) || self.rg(rhs.var);
+        self.push(
+            value,
+            Op::GatheredRowsDot {
+                lhs: lhs.to_vec(),
+                rhs: rhs.clone(),
+            },
+            rg,
+        )
+    }
+
+    /// Two-level weighted aggregation over edges: output row `m` is
+    /// `Σ_{s ∈ outer(m)} Σ_{e ∈ inner(s)} scale[e] · values[e]`, where
+    /// `inner` groups the `n` edges into segments and `outer` groups the
+    /// segments into the `outer.n_segments()` output rows.
+    ///
+    /// Equal, bit for bit and in both directions, to gathering and slicing
+    /// the window, then [`Graph::scale_rows`] by `scale` and two planned
+    /// segment sums; each segment's partial sum lives in a per-thread
+    /// scratch row instead of an edge-wide or segment-wide matrix. Output
+    /// rows with no segments, and segments with no edges, contribute exact
+    /// zeros.
+    ///
+    /// # Panics
+    /// Panics if the window is out of range or does not cover
+    /// `inner.len()` edges, `scale` is not `n×1`, or
+    /// `outer.len() != inner.n_segments()`.
+    pub fn gather_scale_segment_sum(
+        &mut self,
+        values: &RowWindow,
+        scale: Var,
+        inner: &Arc<SegmentPlan>,
+        outer: &Arc<SegmentPlan>,
+    ) -> Var {
+        let n = inner.len();
+        self.check_window(values, n, "gather_scale_segment_sum");
+        assert_eq!(
+            self.shape(scale),
+            (n, 1),
+            "gather_scale_segment_sum: scale must be {n}x1"
+        );
+        assert_eq!(
+            outer.len(),
+            inner.n_segments(),
+            "gather_scale_segment_sum: outer plan must cover the inner plan's segments"
+        );
+        let width = values.width;
+        let n_out = outer.n_segments();
+        let mut value = self.pool.zeroed(n_out, width);
+        if width > 0 && n > 0 {
+            let (vm, sm) = (
+                value_of(&self.nodes, values.var),
+                value_of(&self.nodes, scale),
+            );
+            let grain = reduce_grain(n, n_out, width);
+            kernel::par_row_chunks(value.data_mut(), width, grain, |m0, chunk| {
+                pool::with_scratch(|scratch| {
+                    let mut seg = scratch.take(width);
+                    for (dm, orow) in chunk.chunks_mut(width).enumerate() {
+                        for &s in outer.rows_of(m0 + dm) {
+                            // The unfused chain's `scale_rows` product, then
+                            // its two ascending-order segment sums.
+                            seg.fill(0.0);
+                            for &e in inner.rows_of(s as usize) {
+                                let k = sm[(e as usize, 0)];
+                                for (acc, &x) in seg.iter_mut().zip(values.row(vm, e as usize)) {
+                                    *acc += x * k;
+                                }
+                            }
+                            for (o, &x) in orow.iter_mut().zip(seg.iter()) {
+                                *o += x;
+                            }
+                        }
+                    }
+                    scratch.put(seg);
+                });
+            });
+        }
+        let rg = self.rg(values.var) || self.rg(scale);
+        self.push(
+            value,
+            Op::GatherScaleSegmentSum {
+                values: values.clone(),
+                scale,
+                inner: Arc::clone(inner),
+                outer: Arc::clone(outer),
+            },
+            rg,
+        )
+    }
+
     /// L2-normalises each row (rows of zeros stay zero thanks to an epsilon).
     pub fn normalize_rows(&mut self, a: Var) -> Var {
         let (_, c) = self.shape(a);
@@ -1167,6 +1467,75 @@ impl Graph {
                     Self::accumulate(pool, grads, *b, db);
                 }
             }
+            Op::GatheredRowsDot { lhs, rhs } => {
+                // The unfused chain records the left gathers, then the right
+                // one; its reverse walk delivers their gradients in the
+                // opposite order, and so does this one.
+                let nodes = &self.nodes;
+                let rm = value_of(nodes, rhs.var);
+                if self.rg(rhs.var) {
+                    // d rhs[e] = lhs-concat[e] · g[e]
+                    let d = window_grad(pool, rhs, rm.shape(), |e, buf| {
+                        concat_windows(nodes, lhs, e, buf);
+                        let k = g[(e, 0)];
+                        for x in buf.iter_mut() {
+                            *x *= k;
+                        }
+                    });
+                    Self::accumulate(pool, grads, rhs.var, d);
+                }
+                let mut offset = rhs.width;
+                for w in lhs.iter().rev() {
+                    offset -= w.width;
+                    if self.rg(w.var) {
+                        // d lhs_p[e] = rhs[e][window of p] · g[e]
+                        let d = window_grad(pool, w, self.shape(w.var), |e, buf| {
+                            let k = g[(e, 0)];
+                            let r = &rhs.row(rm, e)[offset..offset + w.width];
+                            for (o, &x) in buf.iter_mut().zip(r) {
+                                *o = x * k;
+                            }
+                        });
+                        Self::accumulate(pool, grads, w.var, d);
+                    }
+                }
+            }
+            Op::GatherScaleSegmentSum {
+                values,
+                scale,
+                inner,
+                outer,
+            } => {
+                let (inner_of, outer_of) = (inner.segment_of_row(), outer.segment_of_row());
+                let (vm, sm) = (self.value(values.var), self.value(*scale));
+                if self.rg(values.var) {
+                    // d values[e] = g[out(e)] · scale[e]
+                    let d = window_grad(pool, values, vm.shape(), |e, buf| {
+                        let (grow, k) = (g.row(outer_of[inner_of[e]]), sm[(e, 0)]);
+                        for (o, &x) in buf.iter_mut().zip(grow) {
+                            *o = x * k;
+                        }
+                    });
+                    Self::accumulate(pool, grads, values.var, d);
+                }
+                if self.rg(*scale) {
+                    // d scale[e] = values[e] · g[out(e)]
+                    let n = inner.len();
+                    let mut ds = pool.uninit(n, 1);
+                    kernel::par_row_chunks(
+                        ds.data_mut(),
+                        1,
+                        row_grain(values.width),
+                        |e0, chunk| {
+                            for (de, out) in chunk.iter_mut().enumerate() {
+                                let e = e0 + de;
+                                *out = dot(values.row(vm, e), g.row(outer_of[inner_of[e]]));
+                            }
+                        },
+                    );
+                    Self::accumulate(pool, grads, *scale, ds);
+                }
+            }
             Op::RowsCircCorr(a, b) => {
                 let (n, d) = self.shape(*a);
                 let (ma, mb) = (self.value(*a), self.value(*b));
@@ -1217,12 +1586,7 @@ impl Graph {
                     let ma = self.value(*a);
                     kernel::par_row_chunks(ds.data_mut(), 1, row_grain(c), |r0, chunk| {
                         for (dr, out) in chunk.iter_mut().enumerate() {
-                            *out = ma
-                                .row(r0 + dr)
-                                .iter()
-                                .zip(g.row(r0 + dr).iter())
-                                .map(|(&x, &gy)| x * gy)
-                                .sum();
+                            *out = dot(ma.row(r0 + dr), g.row(r0 + dr));
                         }
                     });
                     Self::accumulate(pool, grads, *s, ds);

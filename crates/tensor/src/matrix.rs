@@ -56,6 +56,15 @@ fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
     }
 }
 
+/// `Σ a[c]·b[c]`, accumulated in ascending `c` from the starting value
+/// of `Iterator::sum`: the one row-dot reduction of the tape, so ops that
+/// fuse or reorder their reads still match [`Matrix::row_dot`] bit for
+/// bit.
+#[inline]
+pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
+}
+
 /// A dense, row-major matrix of `f32` values.
 ///
 /// Rows × columns are fixed at construction. Vectors are represented as
@@ -849,11 +858,7 @@ impl Matrix {
     /// Dot product between row `r` of `self` and row `r2` of `other`.
     pub fn row_dot(&self, r: usize, other: &Matrix, r2: usize) -> f32 {
         assert_eq!(self.cols, other.cols, "row_dot column mismatch");
-        self.row(r)
-            .iter()
-            .zip(other.row(r2).iter())
-            .map(|(&a, &b)| a * b)
-            .sum()
+        dot(self.row(r), other.row(r2))
     }
 
     /// L2 norm of row `r`.

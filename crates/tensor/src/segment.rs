@@ -113,20 +113,26 @@ impl SegmentPlan {
         &self.rows[self.offsets[s]..self.offsets[s + 1]]
     }
 
-    /// Row-chunk grain so one thread handles at least
-    /// [`kernel::PAR_ELEM_CUTOFF`] accumulated elements: segments are cheap
-    /// when sparse, so the grain scales with the average fan-in. Reductions
-    /// below [`SEG_PAR_MIN_WORK`] total elements return an unsatisfiable
-    /// grain, pinning them to the serial path (bitwise identical — the
-    /// parallel kernel accumulates each segment in the same ascending row
-    /// order).
+    /// Row-chunk grain for a reduction over this plan (see
+    /// [`reduce_grain`]).
     fn seg_grain(&self, cols: usize) -> usize {
-        if self.len().saturating_mul(cols.max(1)) < SEG_PAR_MIN_WORK {
-            return usize::MAX;
-        }
-        let per_seg = (self.len() / self.n_segments.max(1)).max(1) * cols.max(1);
-        (kernel::PAR_ELEM_CUTOFF / per_seg).max(1)
+        reduce_grain(self.len(), self.n_segments, cols)
     }
+}
+
+/// Output-row chunk grain for a reduction of `inputs` rows, `cols` wide,
+/// into `outputs` rows, so one thread handles at least
+/// [`kernel::PAR_ELEM_CUTOFF`] accumulated elements: segments are cheap
+/// when sparse, so the grain scales with the average fan-in. Reductions
+/// below [`SEG_PAR_MIN_WORK`] total elements return an unsatisfiable grain,
+/// pinning them to the serial path (bitwise identical — the parallel
+/// kernels accumulate each output row in the same ascending input order).
+pub(crate) fn reduce_grain(inputs: usize, outputs: usize, cols: usize) -> usize {
+    if inputs.saturating_mul(cols.max(1)) < SEG_PAR_MIN_WORK {
+        return usize::MAX;
+    }
+    let per_output = (inputs / outputs.max(1)).max(1) * cols.max(1);
+    (kernel::PAR_ELEM_CUTOFF / per_output).max(1)
 }
 
 /// `out[s] += Σ input[r]` over `r ∈ rows_of(s)`, parallel by output segment.

@@ -4,7 +4,8 @@
 //! on the tape (for analytic gradients), then compares.
 
 use prim_tensor::check::{assert_gradients_match, numeric_gradients, TestRng};
-use prim_tensor::{Graph, Matrix, Var};
+use prim_tensor::{Graph, Matrix, RowWindow, SegmentPlan, Var};
+use std::sync::Arc;
 
 const EPS: f32 = 1e-2;
 const TOL: f32 = 2e-2;
@@ -278,6 +279,46 @@ fn grad_hyperplane_projection() {
         let proj = g.scale_rows(w_rows, dots);
         let hd = g.sub(v[0], proj);
         let sq = g.mul(hd, hd);
+        g.sum_all(sq)
+    });
+}
+
+/// The fused per-edge logit: two windows of one node table read through
+/// the edge endpoints, a direct window of an edge table, dotted with a
+/// relation row (a relation id repeats, and node 3 is never read).
+#[test]
+fn grad_gathered_rows_dot() {
+    let ins = rng_mats(21, &[(4, 5), (5, 3), (3, 6)]);
+    let dst = Arc::new(SegmentPlan::new(vec![1, 1, 0, 2, 0], 4));
+    let src = Arc::new(SegmentPlan::new(vec![0, 2, 2, 1, 1], 4));
+    let rel = Arc::new(SegmentPlan::new(vec![2, 0, 2, 1, 0], 3));
+    check(&ins, |g, v| {
+        let logits = g.gathered_rows_dot(
+            &[
+                RowWindow::gathered(v[0], 1, 2, &dst),
+                RowWindow::gathered(v[0], 1, 2, &src),
+                RowWindow::direct(v[1], 0, 2),
+            ],
+            &RowWindow::gathered(v[2], 0, 6, &rel),
+        );
+        let sq = g.mul(logits, logits);
+        g.sum_all(sq)
+    });
+}
+
+/// The fused two-level aggregation: a message table read through a key
+/// plan with repeated keys, scaled per edge, summed into segments (one of
+/// them empty) and then into output rows (one of them with no segment).
+#[test]
+fn grad_gather_scale_segment_sum() {
+    let ins = rng_mats(22, &[(3, 4), (6, 1)]);
+    let key = Arc::new(SegmentPlan::new(vec![0, 2, 0, 1, 2, 2], 3));
+    let inner = Arc::new(SegmentPlan::new(vec![0, 0, 1, 3, 3, 1], 4));
+    let outer = Arc::new(SegmentPlan::new(vec![1, 0, 3, 1], 4));
+    check(&ins, |g, v| {
+        let window = RowWindow::gathered(v[0], 1, 3, &key);
+        let agg = g.gather_scale_segment_sum(&window, v[1], &inner, &outer);
+        let sq = g.mul(agg, agg);
         g.sum_all(sq)
     });
 }

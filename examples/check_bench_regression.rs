@@ -24,8 +24,13 @@
 //! * `embed_memory.ratio` — peak heap bytes `embed` adds on the quick city
 //!   over those of a training-tape forward on the same inputs — must be at
 //!   most 0.5, and the record must be present: the inference graph has to
-//!   keep freeing dead intermediates (about 0.22 when it does, about 1.0
+//!   keep freeing dead intermediates (about 0.36 when it does, about 1.0
 //!   when it keeps the whole tape).
+//! * `embed_memory.inference_peak_mb` must be at most 1.5 and
+//!   `embed_memory.tape_peak_mb` at most 5.0. The forward stores no
+//!   dim-wide row per edge (0.75 MB and 2.09 MB on a 2-vCPU VM); with the
+//!   per-edge rows it used to store, the figures were 2.53 MB and
+//!   11.27 MB, so an edge-wide intermediate coming back fails here.
 //!
 //! `topk_scaling` (from `topk_scaling`, written to `BENCH_topk.json`):
 //!
@@ -125,6 +130,18 @@ fn check_kernels(root: &json::Value, failures: &mut Vec<String>) -> String {
                      the serial-path dispatch regressed"
                 ));
             }
+        }
+    }
+    for (field, ceiling) in [("inference_peak_mb", 1.5), ("tape_peak_mb", 5.0)] {
+        match fetch(root, &["embed_memory", field]).and_then(json::Value::as_f64) {
+            Some(mb) if mb > ceiling => failures.push(format!(
+                "embed_memory {field} {mb:.2} MB > {ceiling} MB: the forward stores an \
+                 edge-wide intermediate again"
+            )),
+            Some(_) => {}
+            None => failures.push(format!(
+                "embed_memory.{field} missing: rerun the micro_kernels bench"
+            )),
         }
     }
     let memory = match fetch(root, &["embed_memory", "ratio"]).and_then(json::Value::as_f64) {
